@@ -5,21 +5,6 @@ meshes, train a contact-prediction network on per-frame samples, then
 train an action classifier on contact-augmented skeleton clips.
 """
 
-import os as _os
-
-# Honor an optional CASAR_THREADS cap.  This must happen before numpy's
-# first import, so it lives at the very top of the package; explicit
-# per-library variables the user already set take precedence.
-_cap = _os.environ.get("CASAR_THREADS")
-if _cap:
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        _os.environ.setdefault(_var, _cap)
-
 from .errors import (
     CasarError,
     CheckpointError,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -21,10 +20,18 @@ from pathlib import Path
 from . import __version__
 from . import neuralcore as nn
 from .datamodel import DatasetConfig
-from .errors import CasarError, DataIOError, ParseError, ShapeError, ValidationError
+from .errors import (
+    CasarError,
+    CheckpointError,
+    DataIOError,
+    ParseError,
+    ShapeError,
+    ValidationError,
+)
 from .evaluation import evaluate_pipeline, run_ablation, write_report
 from .geometry import ContactThresholds
 from .io import (
+    atomic_write,
     load_clips,
     load_contact_targets,
     load_meshes,
@@ -69,14 +76,12 @@ def _utc_now() -> str:
 
 
 def _write_manifest(manifest: RunManifest, path: Path) -> None:
-    body = json.dumps(dataclasses.asdict(manifest), sort_keys=True, indent=2) + "\n"
-    tmp = path.with_name(path.name + ".tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(body, encoding="utf-8")
-        os.replace(tmp, path)
     except OSError as exc:
         raise DataIOError(f"cannot write manifest {path}: {exc}") from exc
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(dataclasses.asdict(manifest), sort_keys=True, indent=2) + "\n")
 
 
 def _print_error(kind: str, message: str) -> None:
@@ -139,29 +144,18 @@ def _dataset_config(doc: dict, eta_c: float | None = None, eta_d: float | None =
     return _build_section(DatasetConfig, section, {"thresholds": thr}, "config dataset section")
 
 
-def _contact_config(doc: dict, args) -> ContactModuleConfig:
-    overrides = {
-        "hidden_width": getattr(args, "hidden_width", None),
-        "epochs": getattr(args, "epochs", None),
-        "base_lr": getattr(args, "lr", None),
-        "batch_size": getattr(args, "batch_size", None),
-        "seed": getattr(args, "seed", None),
-    }
-    return _build_section(ContactModuleConfig, doc.get("contact", {}), overrides,
-                          "config contact section")
+# config field -> command-line flag (argparse dest) of the training commands
+_TRAIN_FLAGS = {"hidden_width": "hidden_width", "epochs": "epochs", "base_lr": "lr",
+                "batch_size": "batch_size", "seed": "seed", "action_head": "action_head"}
 
 
-def _action_config(doc: dict, args) -> ActionModuleConfig:
-    overrides = {
-        "hidden_width": getattr(args, "hidden_width", None),
-        "epochs": getattr(args, "epochs", None),
-        "base_lr": getattr(args, "lr", None),
-        "batch_size": getattr(args, "batch_size", None),
-        "seed": getattr(args, "seed", None),
-        "action_head": getattr(args, "action_head", None),
-    }
-    return _build_section(ActionModuleConfig, doc.get("action", {}), overrides,
-                          "config action section")
+def _module_config(cls, doc: dict, section: str, args=None):
+    """A network's config from the file's ``section``, the training flags winning.
+
+    With ``args`` None the file section alone decides.
+    """
+    overrides = {key: getattr(args, flag, None) for key, flag in _TRAIN_FLAGS.items()}
+    return _build_section(cls, doc.get(section, {}), overrides, f"config {section} section")
 
 
 def _dataset_from_meta(meta: dict) -> DatasetConfig | None:
@@ -199,31 +193,46 @@ def _filtered_kwargs(cls, raw) -> dict:
     return {k: v for k, v in raw.items() if k in known}
 
 
-def _load_contact_module(path) -> tuple[TrainedContactModule, dict]:
+_MODULE_TYPES = {
+    "contact": (TrainedContactModule, ContactModuleConfig),
+    "action": (TrainedActionModule, ActionModuleConfig),
+}
+
+
+def _load_module(path, kind: str):
+    """A contact or action checkpoint as a trained module, config from its sidecar."""
+    module_cls, config_cls = _MODULE_TYPES[kind]
     model = load_checkpoint(path)
     meta = load_checkpoint_meta(path)
-    kwargs = _filtered_kwargs(ContactModuleConfig, meta.get("config"))
+    kwargs = _filtered_kwargs(config_cls, meta.get("config"))
     kwargs.setdefault("hidden_width", model.layer_dims[1])
-    config = ContactModuleConfig(**kwargs)
-    return TrainedContactModule(model=model, config=config, frozen=True), meta
+    return module_cls(model=model, config=config_cls(**kwargs)), meta
 
 
-def _load_action_module(path) -> tuple[TrainedActionModule, dict]:
-    model = load_checkpoint(path)
-    meta = load_checkpoint_meta(path)
-    kwargs = _filtered_kwargs(ActionModuleConfig, meta.get("config"))
-    kwargs.setdefault("hidden_width", model.layer_dims[1])
-    config = ActionModuleConfig(**kwargs)
-    return TrainedActionModule(model=model, config=config), meta
+def _load_pipeline(args, doc: dict):
+    """f and g from ``--contact-ckpt``/``--action-ckpt``, checked to belong together."""
+    contact, cmeta = _load_module(args.contact_ckpt, "contact")
+    action, ameta = _load_module(args.action_ckpt, "action")
+    trained_with, loaded = ameta.get("contact_digest"), contact.parameter_digest()
+    if trained_with is not None and trained_with != loaded:
+        raise CheckpointError(
+            f"{args.action_ckpt} was trained with contact network {trained_with}, "
+            f"but {args.contact_ckpt} holds {loaded}"
+        )
+    dc = _resolve_dataset_config(doc, ameta, cmeta)
+    _check_widths(dc, contact, action)
+    return contact, action, dc
 
 
-def _check_widths(contact: TrainedContactModule, action: TrainedActionModule,
-                  dc: DatasetConfig) -> None:
+def _check_widths(dc: DatasetConfig, contact: TrainedContactModule,
+                  action: TrainedActionModule | None = None) -> None:
     if contact.model.input_dim != dc.frame_dim:
         raise ShapeError(
             f"contact checkpoint expects input width {contact.model.input_dim}, "
             f"frame encoding is {dc.frame_dim}"
         )
+    if action is None:
+        return
     expected = dc.augmented_clip_dim if action.config.augment_contact else dc.clip_dim
     if action.model.input_dim != expected:
         raise ShapeError(
@@ -331,7 +340,7 @@ def cmd_train_contact(args) -> int:
     started, t0 = _utc_now(), time.time()
     doc = _load_config(args.config)
     dc = _dataset_config(doc)
-    fcfg = _contact_config(doc, args)
+    fcfg = _module_config(ContactModuleConfig, doc, "contact", args)
     _, _, contacts = _load_dataset(args.data, dc, need_contacts=True)
     module, history = train_contact_module(contacts, fcfg, dc)
     out = Path(args.out)
@@ -362,14 +371,10 @@ def cmd_train_contact(args) -> int:
 def cmd_train_action(args) -> int:
     started, t0 = _utc_now(), time.time()
     doc = _load_config(args.config)
-    contact, cmeta = _load_contact_module(args.contact_ckpt)
+    contact, cmeta = _load_module(args.contact_ckpt, "contact")
     dc = _resolve_dataset_config(doc, cmeta)
-    if contact.model.input_dim != dc.frame_dim:
-        raise ShapeError(
-            f"contact checkpoint expects input width {contact.model.input_dim}, "
-            f"frame encoding is {dc.frame_dim}"
-        )
-    gcfg = _action_config(doc, args)
+    _check_widths(dc, contact)
+    gcfg = _module_config(ActionModuleConfig, doc, "action", args)
     clips, _, _ = _load_dataset(args.data, dc, need_contacts=False)
     action, history = train_action_module(clips, contact, gcfg, dc)
     out = Path(args.out)
@@ -401,10 +406,7 @@ def cmd_train_action(args) -> int:
 def cmd_eval(args) -> int:
     started, t0 = _utc_now(), time.time()
     doc = _load_config(args.config)
-    contact, cmeta = _load_contact_module(args.contact_ckpt)
-    action, ameta = _load_action_module(args.action_ckpt)
-    dc = _resolve_dataset_config(doc, ameta, cmeta)
-    _check_widths(contact, action, dc)
+    contact, action, dc = _load_pipeline(args, doc)
     clips, _, contacts = _load_dataset(args.data, dc, need_contacts=False)
     report = evaluate_pipeline(contact, action, clips, contacts, dc)
     write_report(report, args.report, provenance={
@@ -432,10 +434,7 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     doc = _load_config(args.config)
-    contact, cmeta = _load_contact_module(args.contact_ckpt)
-    action, ameta = _load_action_module(args.action_ckpt)
-    dc = _resolve_dataset_config(doc, ameta, cmeta)
-    _check_widths(contact, action, dc)
+    contact, action, dc = _load_pipeline(args, doc)
     clips = load_clips(args.clip, dc)
     for clip in clips:
         idx, out = predict_action(contact, action, clip, dc)
@@ -459,23 +458,22 @@ def cmd_ablation(args) -> int:
     else:
         test_clips = train_clips
     if args.contact_ckpt is not None:
-        contact, _ = _load_contact_module(args.contact_ckpt)
+        contact, _ = _load_module(args.contact_ckpt, "contact")
     else:
-        fcfg = _contact_config(doc, args)
+        # the training flags are g's; f comes from the config file alone
+        fcfg = _module_config(ContactModuleConfig, doc, "contact")
         contact, _ = train_contact_module(contacts, fcfg, dc)
-    gcfg = _action_config(doc, args)
+    gcfg = _module_config(ActionModuleConfig, doc, "action", args)
     rows = run_ablation(train_clips, test_clips, contact, gcfg, dc)
     report = Path(args.report)
     try:
         report.mkdir(parents=True, exist_ok=True)
-        tmp = report / "ablation.csv.tmp"
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write("variant,accuracy\n")
-            for row in rows:
-                fh.write(f"{row.variant},{row.accuracy!r}\n")
-        os.replace(tmp, report / "ablation.csv")
     except OSError as exc:
         raise DataIOError(f"cannot write ablation report to {report}: {exc}") from exc
+    with atomic_write(report / "ablation.csv") as fh:
+        fh.write("variant,accuracy\n")
+        for row in rows:
+            fh.write(f"{row.variant},{row.accuracy!r}\n")
     _write_manifest(RunManifest(
         command="ablation",
         tool_version=__version__,

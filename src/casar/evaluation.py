@@ -18,6 +18,7 @@ import numpy as np
 
 from .datamodel import ActionClip, ContactSample, DatasetConfig, encode_frame
 from .errors import DataIOError, ShapeError, ValidationError
+from .io import atomic_write
 from .pipeline import (
     ActionModuleConfig,
     TrainedActionModule,
@@ -217,41 +218,42 @@ def write_report(report: EvalReport, out_dir, provenance: dict | None = None) ->
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        def _json_safe(value: float):
-            return None if np.isnan(value) else value
-
-        metrics = {
-            "top1_accuracy": report.top1_accuracy,
-            "average_contact_accuracy": _json_safe(report.average_contact_acc),
-            "average_distant_accuracy": _json_safe(report.average_distant_acc),
-            "clip_count": report.clip_count,
-            "frame_count": report.frame_count,
-            "provenance": provenance or {},
-        }
-        with open(out / "metrics.json", "w", encoding="utf-8") as fh:
-            json.dump(metrics, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        with open(out / "confusion.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            c = report.confusion.shape[0]
-            writer.writerow(["label\\pred"] + [str(j) for j in range(c)])
-            for i in range(c):
-                writer.writerow([str(i)] + [str(int(v)) for v in report.confusion[i]])
-        with open(out / "per_object.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["object_label", "contact_acc", "distant_acc", "frames"])
-            for row in report.per_object:
-                writer.writerow([
-                    row.object_label,
-                    repr(row.contact_acc),
-                    repr(row.distant_acc),
-                    row.frame_count,
-                ])
-            writer.writerow([
-                "average",
-                repr(report.average_contact_acc),
-                repr(report.average_distant_acc),
-                report.frame_count,
-            ])
     except OSError as exc:
         raise DataIOError(f"cannot write reports to {out_dir}: {exc}") from exc
+
+    def _json_safe(value: float):
+        return None if np.isnan(value) else value
+
+    metrics = {
+        "top1_accuracy": report.top1_accuracy,
+        "average_contact_accuracy": _json_safe(report.average_contact_acc),
+        "average_distant_accuracy": _json_safe(report.average_distant_acc),
+        "clip_count": report.clip_count,
+        "frame_count": report.frame_count,
+        "provenance": provenance or {},
+    }
+    with atomic_write(out / "metrics.json") as fh:
+        json.dump(metrics, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    with atomic_write(out / "confusion.csv") as fh:
+        writer = csv.writer(fh)
+        c = report.confusion.shape[0]
+        writer.writerow(["label\\pred"] + [str(j) for j in range(c)])
+        for i in range(c):
+            writer.writerow([str(i)] + [str(int(v)) for v in report.confusion[i]])
+    with atomic_write(out / "per_object.csv") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["object_label", "contact_acc", "distant_acc", "frames"])
+        for row in report.per_object:
+            writer.writerow([
+                row.object_label,
+                repr(row.contact_acc),
+                repr(row.distant_acc),
+                row.frame_count,
+            ])
+        writer.writerow([
+            "average",
+            repr(report.average_contact_acc),
+            repr(report.average_distant_acc),
+            report.frame_count,
+        ])

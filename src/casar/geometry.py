@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DataIOError, ParseError, ShapeError, ValidationError
+from .errors import ShapeError, ValidationError
 
 # Canonical corner order for an 8-corner box: corner index i has bits
 # (b0, b1, b2) = (i & 1, i >> 1 & 1, i >> 2 & 1), each bit selecting the
@@ -79,7 +79,6 @@ class SpatialIndex:
     """
 
     tree: cKDTree = field(repr=False)
-    count: int
 
     def query_distances(self, points: np.ndarray) -> np.ndarray:
         pts = as_points(points, "query points")
@@ -146,13 +145,7 @@ def build_vertex_index(vertices) -> SpatialIndex:
         raise ValidationError("cannot index an empty vertex set")
     verts = as_points(verts, "vertices")
     # copy: the index must stay valid if the caller mutates its array
-    return SpatialIndex(tree=cKDTree(verts.copy()), count=len(verts))
-
-
-def nearest_vertex_distance(index: SpatialIndex, query) -> float:
-    """Exact distance in meters from ``query`` to the closest indexed vertex."""
-    q = as_point(query, "query")
-    return float(index.query_distances(q[None, :])[0])
+    return SpatialIndex(tree=cKDTree(verts.copy()))
 
 
 def validate_rigid_transform(transform) -> np.ndarray:
@@ -244,42 +237,3 @@ def expand_bbox_21(corners) -> np.ndarray:
     center = c.mean(axis=0)
     mids = np.array([(c[a] + c[b]) * 0.5 for a, b in BOX_EDGES])
     return np.vstack([center[None, :], c, mids])
-
-
-def read_obj_vertices(path) -> np.ndarray:
-    """Read vertices from an OBJ-subset text file (``v x y z`` lines).
-
-    Lines starting with any other token are ignored.  Units: meters.
-    """
-    rows = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                parts = line.split()
-                if not parts or parts[0] != "v":
-                    continue
-                if len(parts) < 4:
-                    raise ParseError(f"{path}:{lineno}: vertex line needs 3 coordinates")
-                try:
-                    xyz = [float(v) for v in parts[1:4]]
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: bad coordinate: {exc}") from exc
-                if not all(np.isfinite(xyz)):
-                    raise ParseError(f"{path}:{lineno}: non-finite coordinate")
-                rows.append(xyz)
-    except OSError as exc:
-        raise DataIOError(f"cannot read mesh file {path}: {exc}") from exc
-    if not rows:
-        raise ParseError(f"{path}: no vertex lines found")
-    return np.asarray(rows, dtype=np.float64)
-
-
-def write_obj_vertices(path, vertices) -> None:
-    """Write vertices as OBJ-subset text, one ``v x y z`` line per vertex."""
-    verts = as_points(vertices, "vertices")
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for x, y, z in verts:
-                fh.write(f"v {float(x)!r} {float(y)!r} {float(z)!r}\n")
-    except OSError as exc:
-        raise DataIOError(f"cannot write mesh file {path}: {exc}") from exc

@@ -18,12 +18,16 @@ order; the 21-point pose representation is expanded at load time.
 Contact record:
     {"clip_id": str, "frame_index": int, "contact": [0/1 x H*J],
      "distant": [0/1 x H*J]}
+
+Every writer in the package goes through ``atomic_write``: a file is
+either left as it was or replaced whole.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +41,32 @@ from .datamodel import (
     ObjectAnnotation,
 )
 from .errors import DataIOError, ParseError, ValidationError
-from .geometry import ContactMap, ObjectMesh, expand_bbox_21, read_obj_vertices, write_obj_vertices
+from .geometry import ContactMap, ObjectMesh, as_points, expand_bbox_21
 
 MESH_SUFFIX = ".obj"
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Open ``path`` for writing; it is replaced only if the block completes.
+
+    Data goes to ``<path>.tmp``, which ``os.replace`` moves over ``path``
+    on success and which is removed on any failure, so readers see the old
+    file or the new one, never a partial write.  Text is UTF-8 and line
+    endings are written as given.  OS failures become ``DataIOError``.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    try:
+        try:
+            with open(tmp, mode, **text) as fh:
+                yield fh
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as exc:
+        raise DataIOError(f"cannot write {path}: {exc}") from exc
 
 
 def _require(cond: bool, path, lineno: int, msg: str) -> None:
@@ -154,13 +181,46 @@ def clip_to_record(clip: ActionClip) -> dict:
 
 def write_clips(clips, path) -> None:
     """Write clips as canonical JSON Lines."""
+    with atomic_write(path) as fh:
+        for clip in clips:
+            fh.write(json.dumps(clip_to_record(clip), separators=(",", ":")))
+            fh.write("\n")
+
+
+def read_obj_vertices(path) -> np.ndarray:
+    """Read vertices from an OBJ-subset text file (``v x y z`` lines).
+
+    Lines starting with any other token are ignored.  Units: meters.
+    """
+    rows = []
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for clip in clips:
-                fh.write(json.dumps(clip_to_record(clip), separators=(",", ":")))
-                fh.write("\n")
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                parts = line.split()
+                if not parts or parts[0] != "v":
+                    continue
+                if len(parts) < 4:
+                    raise ParseError(f"{path}:{lineno}: vertex line needs 3 coordinates")
+                try:
+                    xyz = [float(v) for v in parts[1:4]]
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{lineno}: bad coordinate: {exc}") from exc
+                if not all(np.isfinite(xyz)):
+                    raise ParseError(f"{path}:{lineno}: non-finite coordinate")
+                rows.append(xyz)
     except OSError as exc:
-        raise DataIOError(f"cannot write {path}: {exc}") from exc
+        raise DataIOError(f"cannot read mesh file {path}: {exc}") from exc
+    if not rows:
+        raise ParseError(f"{path}: no vertex lines found")
+    return np.asarray(rows, dtype=np.float64)
+
+
+def write_obj_vertices(path, vertices) -> None:
+    """Write vertices as OBJ-subset text, one ``v x y z`` line per vertex."""
+    verts = as_points(vertices, "vertices")
+    with atomic_write(path) as fh:
+        for x, y, z in verts:
+            fh.write(f"v {float(x)!r} {float(y)!r} {float(z)!r}\n")
 
 
 def load_meshes(directory) -> dict[str, ObjectMesh]:
@@ -217,20 +277,17 @@ def load_contact_targets(path, clips, config: DatasetConfig) -> list[ContactSamp
 
 def write_contact_targets(samples, path) -> None:
     """Write contact samples as canonical JSON Lines (needs provenance ids)."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for s in samples:
-                if s.clip_id is None or s.frame_index is None:
-                    raise ValidationError(
-                        "contact sample lacks clip_id/frame_index; cannot serialize"
-                    )
-                rec = {
-                    "clip_id": s.clip_id,
-                    "frame_index": int(s.frame_index),
-                    "contact": [int(b) for b in s.target.contact],
-                    "distant": [int(b) for b in s.target.distant],
-                }
-                fh.write(json.dumps(rec, separators=(",", ":")))
-                fh.write("\n")
-    except OSError as exc:
-        raise DataIOError(f"cannot write {path}: {exc}") from exc
+    with atomic_write(path) as fh:
+        for s in samples:
+            if s.clip_id is None or s.frame_index is None:
+                raise ValidationError(
+                    "contact sample lacks clip_id/frame_index; cannot serialize"
+                )
+            rec = {
+                "clip_id": s.clip_id,
+                "frame_index": int(s.frame_index),
+                "contact": [int(b) for b in s.target.contact],
+                "distant": [int(b) for b in s.target.distant],
+            }
+            fh.write(json.dumps(rec, separators=(",", ":")))
+            fh.write("\n")

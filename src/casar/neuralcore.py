@@ -63,9 +63,6 @@ class MlpModel:
     def output_dim(self) -> int:
         return self.weights[-1].shape[0]
 
-    def parameter_count(self) -> int:
-        return sum(W.size + b.size for W, b in zip(self.weights, self.biases))
-
     def parameter_bytes(self) -> bytes:
         """Canonical byte string of all parameters (for freeze checks)."""
         return b"".join([W.tobytes() for W in self.weights] + [b.tobytes() for b in self.biases])

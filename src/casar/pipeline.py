@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,7 +33,14 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .geometry import ContactThresholds, ObjectMesh, build_vertex_index, label_contact_map, transform_points
+from .geometry import (
+    ContactThresholds,
+    ObjectMesh,
+    SpatialIndex,
+    build_vertex_index,
+    label_contact_map,
+)
+from .io import atomic_write
 from . import neuralcore as nn
 
 ACTION_HEADS = ("sigmoid_ce", "softmax_ce")
@@ -83,12 +89,10 @@ class ContactModuleConfig:
 class ActionModuleConfig:
     """Hyperparameters and feature switches of the action network g.
 
-    ``lambda_joint`` appears for completeness; only the staged regime
-    (train f, freeze, train g) is implemented, so any nonzero value is
-    rejected at training time.  ``augment_contact`` appends f's per-frame
-    predictions to the clip encoding; ``binarize_contact`` thresholds them
-    at 0.5; the mask flags zero out either half of the appended features
-    at train and test time (the ablation rows).
+    ``augment_contact`` appends f's per-frame predictions to the clip
+    encoding; ``binarize_contact`` thresholds them at 0.5; the mask flags
+    zero out either half of the appended features at train and test time
+    (the ablation rows).
     """
 
     hidden_width: int = 5000
@@ -97,7 +101,6 @@ class ActionModuleConfig:
     lr_decay_factor: float = 0.7
     lr_period_epochs: int = 200
     batch_size: int = 16
-    lambda_joint: float = 0.0
     action_head: str = "sigmoid_ce"
     augment_contact: bool = True
     binarize_contact: bool = False
@@ -108,8 +111,6 @@ class ActionModuleConfig:
     def __post_init__(self):
         if self.hidden_width < 1 or self.epochs < 1 or self.batch_size < 1:
             raise ValidationError("hidden_width, epochs, batch_size must be positive")
-        if self.lambda_joint < 0:
-            raise ValidationError(f"lambda_joint must be >= 0, got {self.lambda_joint}")
         if self.action_head not in ACTION_HEADS:
             raise ValidationError(
                 f"action_head must be one of {ACTION_HEADS}, got {self.action_head!r}"
@@ -131,7 +132,6 @@ class TrainedContactModule:
 
     model: nn.MlpModel
     config: ContactModuleConfig
-    frozen: bool = True
 
     def parameter_digest(self) -> str:
         return hashlib.sha256(self.model.parameter_bytes()).hexdigest()
@@ -150,29 +150,32 @@ def derive_contact_dataset(
     meshes: dict[str, ObjectMesh],
     thresholds: ContactThresholds,
 ) -> list[ContactSample]:
-    """Label every raw frame of every clip against its posed mesh.
+    """Label every raw frame of every clip against its object's mesh.
 
     One sample per frame, pre-resampling, so the contact set is as large
-    as the recordings allow.  The vertex index is rebuilt whenever the
-    object pose changes and reused across consecutive identical poses.
+    as the recordings allow.  Labels are computed in each mesh's canonical
+    frame: one vertex index per mesh id over the canonical vertices, and
+    each frame's joints moved into that frame with the inverse object pose,
+    ``(joints - t) @ R``.  Point-to-vertex distance does not change under a
+    rigid pose, so these are the labels of the posed mesh.  This is the
+    only routine that turns joints and poses into labels; the synthetic
+    generator's targets come from it too.
     """
     samples: list[ContactSample] = []
-    last_key: tuple[str, bytes] | None = None
-    last_index = None
+    indexes: dict[str, SpatialIndex] = {}
     for clip in clips:
         mesh_id = clip.mesh_id
         if mesh_id is None or mesh_id not in meshes:
             raise ValidationError(
                 f"clip {clip.clip_id!r}: mesh {mesh_id!r} not available for contact derivation"
             )
-        verts = meshes[mesh_id].vertices
+        if mesh_id not in indexes:
+            indexes[mesh_id] = build_vertex_index(meshes[mesh_id].vertices)
+        index = indexes[mesh_id]
         for i, frame in enumerate(clip.frames):
             pose = frame.object.world_from_canonical
-            key = (mesh_id, pose.tobytes())
-            if key != last_key:
-                last_index = build_vertex_index(transform_points(pose, verts))
-                last_key = key
-            cmap = label_contact_map(frame.hand.joints(), last_index, thresholds)
+            canonical = (frame.hand.joints() - pose[:3, 3]) @ pose[:3, :3]
+            cmap = label_contact_map(canonical, index, thresholds)
             samples.append(
                 ContactSample(frame=frame, target=cmap, clip_id=clip.clip_id, frame_index=i)
             )
@@ -224,7 +227,7 @@ def train_contact_module(
             nn.adam_step(model, grads, adam, lr)
             total += loss * len(batch)
         history.append(total / n)
-    return TrainedContactModule(model=model, config=config, frozen=True), history
+    return TrainedContactModule(model=model, config=config), history
 
 
 def predict_contact(module: TrainedContactModule, frame_vec: np.ndarray) -> np.ndarray:
@@ -293,16 +296,8 @@ def train_action_module(
     """
     if not clips:
         raise ValidationError("cannot train the action module on an empty clip list")
-    if config.lambda_joint > 0:
-        raise ValidationError(
-            "joint training (lambda_joint > 0) is not implemented; "
-            "use the staged regime: train f, freeze it, then train g"
-        )
-    if config.augment_contact:
-        if contact is None:
-            raise ValidationError("augment_contact requires a trained contact module")
-        if not contact.frozen:
-            raise ValidationError("the contact module must be frozen before training g")
+    if config.augment_contact and contact is None:
+        raise ValidationError("augment_contact requires a trained contact module")
     n_classes = data_config.action_class_count
     labels = np.array([c.action_label for c in clips])
     bad = [c.clip_id for c in clips if not 0 <= c.action_label < n_classes]
@@ -384,18 +379,14 @@ def save_checkpoint(model: nn.MlpModel, path, meta: dict | None = None) -> None:
     sidecar = dict(meta or {})
     sidecar.setdefault("layer_dims", model.layer_dims)
     sidecar.setdefault("activations", list(model.activations))
-    try:
-        p = Path(path)
-        tmp = p.with_name(p.name + ".tmp")
-        tmp.write_bytes(b"".join(parts))
-        os.replace(tmp, p)
-        meta_path = p.with_name(p.name + ".meta.json")
-        meta_tmp = meta_path.with_name(meta_path.name + ".tmp")
-        meta_tmp.write_text(json.dumps(sidecar, sort_keys=True, separators=(",", ":")) + "\n",
-                            encoding="utf-8")
-        os.replace(meta_tmp, meta_path)
-    except OSError as exc:
-        raise DataIOError(f"cannot write checkpoint {path}: {exc}") from exc
+    with atomic_write(path, "wb") as fh:
+        fh.writelines(parts)
+    with atomic_write(_sidecar_path(path)) as fh:
+        fh.write(json.dumps(sidecar, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def _sidecar_path(path) -> Path:
+    return Path(path).with_name(Path(path).name + ".meta.json")
 
 
 def _take(buf: bytes, offset: int, count: int, what: str, path) -> tuple[bytes, int]:
@@ -449,7 +440,7 @@ def load_checkpoint(path) -> nn.MlpModel:
 
 def load_checkpoint_meta(path) -> dict:
     """Read the JSON sidecar written next to a checkpoint."""
-    meta_path = Path(path).with_name(Path(path).name + ".meta.json")
+    meta_path = _sidecar_path(path)
     try:
         return json.loads(meta_path.read_text(encoding="utf-8"))
     except OSError as exc:

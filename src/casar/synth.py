@@ -10,8 +10,8 @@ and independent of the class, the scene is placed with a random yaw, tilt,
 and translation, every frame gets a small global rigid jitter, and every
 joint gets Gaussian noise.
 
-Ground-truth contact targets are computed from the final noised world
-geometry with the same operations the derivation pipeline uses, so
+Ground-truth contact targets come from ``derive_contact_dataset`` run on
+the emitted clips and meshes, the same routine ``derive-contact`` uses, so
 recomputing labels from the emitted scenes reproduces the targets
 bit-exactly, with or without noise.
 """
@@ -32,10 +32,10 @@ from .geometry import (
     box_corners,
     build_vertex_index,
     expand_bbox_21,
-    label_contact_map,
     make_transform,
     transform_points,
 )
+from .pipeline import derive_contact_dataset
 
 HAND_JOINTS = 21
 FINGERS = ("thumb", "index", "middle", "ring", "pinky")
@@ -318,11 +318,6 @@ def _random_rotation(rng: np.random.Generator) -> np.ndarray:
     ])
 
 
-# the whole scene is dropped into the world at an arbitrary orientation,
-# so no raw-coordinate direction is informative on its own
-_scene_rotation = _random_rotation
-
-
 @dataclass(frozen=True)
 class _Placement:
     """Object-frame scene layout for one clip, before motion and jitter."""
@@ -338,7 +333,6 @@ def _place_hands(
     cspec: ClassSpec,
     verts: np.ndarray,
     index: SpatialIndex,
-    thresholds: ContactThresholds,
     hand_scale: float,
 ) -> _Placement:
     """Sample a scene layout whose intended contact pattern is unambiguous.
@@ -449,23 +443,21 @@ def _build_clip(
     canon_pose21: list[np.ndarray],
     n_frames: int,
     noise_sigma: float,
-    thresholds: ContactThresholds,
-) -> tuple[ActionClip, list[ContactSample]]:
+) -> ActionClip:
     obj_id = int(rng.integers(len(meshes)))
     mesh = meshes[obj_id]
     hand_scale = rng.uniform(*_HAND_SCALE)
-    placement = _place_hands(
-        rng, cspec, mesh.vertices, canon_indexes[obj_id], thresholds, hand_scale
-    )
+    placement = _place_hands(rng, cspec, mesh.vertices, canon_indexes[obj_id], hand_scale)
     offsets = _phase_offsets(cspec.phase, n_frames, placement.backoff)
 
-    scene_rot = _scene_rotation(rng)
+    # the whole scene is dropped into the world at an arbitrary orientation,
+    # so no raw-coordinate direction is informative on its own
+    scene_rot = _random_rotation(rng)
     scene_pos = np.array([
         rng.uniform(-0.12, 0.12), rng.uniform(-0.12, 0.12), rng.uniform(0.33, 0.57),
     ])
 
     frames = []
-    samples = []
     for i in range(n_frames):
         jitter_rot = _rotation_about(_random_unit(rng), rng.uniform(0.0, 0.10))
         jitter_pos = rng.uniform(-0.02, 0.02, size=3)
@@ -490,17 +482,9 @@ def _build_clip(
             world_from_canonical=world,
             mesh_id=mesh.mesh_id,
         )
-        frame = FrameSample(hand=hand, object=annotation)
-        frames.append(frame)
+        frames.append(FrameSample(hand=hand, object=annotation))
 
-        world_index = build_vertex_index(transform_points(world, mesh.vertices))
-        cmap = label_contact_map(hand.joints(), world_index, thresholds)
-        samples.append(
-            ContactSample(frame=frame, target=cmap, clip_id=clip_id, frame_index=i)
-        )
-
-    clip = ActionClip(clip_id=clip_id, action_label=class_id, frames=tuple(frames))
-    return clip, samples
+    return ActionClip(clip_id=clip_id, action_label=class_id, frames=tuple(frames))
 
 
 def synth_generate(
@@ -511,7 +495,7 @@ def synth_generate(
     """Generate a class-balanced two-hand dataset with ground-truth contacts.
 
     Returns clips (class-major order), the mesh dictionary, and one
-    contact sample per frame.  Two calls with equal arguments produce
+    contact sample per frame, labeled by ``derive_contact_dataset``.  Two calls with equal arguments produce
     identical output; ``clip_prefix`` namespaces clip ids so independent
     train and test sets can live side by side.
     """
@@ -530,17 +514,14 @@ def synth_generate(
     lo, hi = spec.frames_range
 
     clips: list[ActionClip] = []
-    contacts: list[ContactSample] = []
     for class_id in range(spec.class_count):
         cspec = CLASS_CATALOG[class_id]
         for j in range(spec.clips_per_class):
             rng = np.random.default_rng(children[class_id * spec.clips_per_class + j])
             n_frames = int(rng.integers(lo, hi + 1))
             clip_id = f"{clip_prefix}_{class_id:02d}_{j:04d}"
-            clip, samples = _build_clip(
+            clips.append(_build_clip(
                 rng, clip_id, class_id, cspec, meshes, canon_indexes,
-                canon_pose21, n_frames, spec.noise_sigma, thresholds,
-            )
-            clips.append(clip)
-            contacts.extend(samples)
-    return clips, mesh_dict, contacts
+                canon_pose21, n_frames, spec.noise_sigma,
+            ))
+    return clips, mesh_dict, derive_contact_dataset(clips, mesh_dict, thresholds)

@@ -1,14 +1,14 @@
 """Command line surface: the full synth/derive/train/eval flow plus error paths."""
 
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
+import casar.cli
 from casar.cli import main
-from casar.pipeline import load_checkpoint_meta
+from casar.pipeline import ActionModuleConfig, ContactModuleConfig, load_checkpoint_meta
 
 SMALL_CFG = {
     "dataset": {"action_class_count": 4},
@@ -193,6 +193,34 @@ def test_ablation_command(workspace, tmp_path):
     assert (report / "manifest.json").exists()
 
 
+def test_ablation_trains_f_from_the_config_file_only(workspace, tmp_path, monkeypatch):
+    """The training flags are documented as g's; they must not reach f."""
+    seen = {}
+
+    def fake_train_contact(samples, config, dc):
+        seen["f"] = config
+        return "f", []
+
+    def fake_ablation(train_clips, test_clips, contact, config, dc):
+        seen["g"] = config
+        return []
+
+    monkeypatch.setattr(casar.cli, "train_contact_module", fake_train_contact)
+    monkeypatch.setattr(casar.cli, "run_ablation", fake_ablation)
+    rc = main([
+        "ablation",
+        "--data", str(workspace / "data"),
+        "--config", str(workspace / "config.json"),
+        "--report", str(tmp_path / "ablation"),
+        "--hidden-width", "12", "--epochs", "1", "--lr", "0.01",
+        "--batch-size", "4", "--seed", "9",
+    ])
+    assert rc == 0
+    assert seen["f"] == ContactModuleConfig(**SMALL_CFG["contact"])
+    flags = dict(hidden_width=12, epochs=1, base_lr=0.01, batch_size=4, seed=9)
+    assert seen["g"] == ActionModuleConfig(**{**SMALL_CFG["action"], **flags})
+
+
 # ---------------------------------------------------------------------------
 # error paths
 
@@ -262,6 +290,40 @@ def test_clip_width_mismatch_exits_2(workspace, tmp_path, capsys):
     assert "width" in stderr_json(capsys)["message"]
 
 
+def test_mismatched_checkpoint_pair_exits_2(workspace, tmp_path, capsys):
+    other_f = tmp_path / "other_f.ckpt"
+    assert main([
+        "train-contact", "--data", str(workspace / "data"),
+        "--config", str(workspace / "config.json"), "--seed", "2", "--out", str(other_f),
+    ]) == 0
+    capsys.readouterr()
+    pair = ["--contact-ckpt", str(other_f), "--action-ckpt", str(workspace / "g.ckpt"),
+            "--config", str(workspace / "config.json")]
+    rc = main(["eval", "--data", str(workspace / "data"), "--report", str(tmp_path / "r")]
+              + pair)
+    assert rc == 2
+    assert stderr_json(capsys)["error"] == "CheckpointError"
+    assert main(["predict", "--clip", str(workspace / "data" / "clips.jsonl")] + pair) == 2
+    payload = stderr_json(capsys)
+    assert payload["error"] == "CheckpointError"
+    assert "other_f.ckpt" in payload["message"]
+
+
+def test_sidecar_without_contact_digest_is_accepted(workspace, tmp_path, capsys):
+    g = tmp_path / "g.ckpt"
+    g.write_bytes((workspace / "g.ckpt").read_bytes())
+    meta = load_checkpoint_meta(workspace / "g.ckpt")
+    del meta["contact_digest"]
+    (tmp_path / "g.ckpt.meta.json").write_text(json.dumps(meta))
+    rc = main([
+        "predict", "--clip", str(workspace / "data" / "clips.jsonl"),
+        "--contact-ckpt", str(workspace / "f.ckpt"), "--action-ckpt", str(g),
+        "--config", str(workspace / "config.json"),
+    ])
+    assert rc == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 12
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -282,10 +344,9 @@ def test_help_shows_defaults(capsys):
 
 
 def test_console_script_version():
-    env = dict(os.environ, CASAR_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-m", "casar.cli", "--version"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("casar ")

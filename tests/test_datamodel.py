@@ -293,6 +293,18 @@ def test_contact_file_round_trip_is_exact(tiny_synth, tmp_path):
         np.testing.assert_array_equal(a.target.distant, b.target.distant)
 
 
+def test_failed_contact_write_keeps_the_old_file(tiny_synth, tmp_path):
+    _, _, samples = tiny_synth
+    path = tmp_path / "contacts.jsonl"
+    write_contact_targets(samples[:2], path)
+    before = path.read_bytes()
+    orphan = ContactSample(frame=samples[0].frame, target=samples[0].target)
+    with pytest.raises(ValidationError, match="clip_id"):
+        write_contact_targets(samples + [orphan], path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["contacts.jsonl"]
+
+
 def test_mesh_dir_round_trip(tiny_synth, tmp_path):
     _, meshes, _ = tiny_synth
     write_meshes(meshes, tmp_path / "meshes")

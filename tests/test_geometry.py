@@ -17,12 +17,10 @@ from casar.geometry import (
     expand_bbox_21,
     label_contact_map,
     make_transform,
-    nearest_vertex_distance,
-    read_obj_vertices,
     transform_points,
     validate_rigid_transform,
-    write_obj_vertices,
 )
+from casar.io import read_obj_vertices, write_obj_vertices
 
 
 def brute_force_distances(vertices, queries):
@@ -79,7 +77,7 @@ def test_contact_map_matches_brute_force_bits():
 def test_single_point_query_helper():
     verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     index = build_vertex_index(verts)
-    assert nearest_vertex_distance(index, [0.25, 0.0, 0.0]) == pytest.approx(0.25, abs=1e-15)
+    assert index.query_distances([0.25, 0.0, 0.0])[0] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_index_never_mutates_or_aliases_caller_vertices():
@@ -88,7 +86,7 @@ def test_index_never_mutates_or_aliases_caller_vertices():
     index = build_vertex_index(verts)
     np.testing.assert_array_equal(verts, snapshot)
     verts[:] = 999.0  # the index must hold its own copy
-    assert nearest_vertex_distance(index, [0.0, 0.0, 0.0]) == 0.0
+    assert index.query_distances([0.0, 0.0, 0.0])[0] == 0.0
 
 
 def test_empty_vertex_set_rejected():

@@ -129,7 +129,6 @@ def test_train_contact_is_deterministic(tiny_synth, tiny_config, trained_contact
     again, history2 = train_contact_module(contacts[:120], FAST_CONTACT, tiny_config)
     assert module.parameter_digest() == again.parameter_digest()
     assert history == history2
-    assert module.frozen
     assert len(history) == FAST_CONTACT.epochs
     assert history[-1] < history[0]
     assert module.model.layer_dims == [
@@ -265,16 +264,8 @@ def test_train_action_guards(tiny_synth, tiny_config, trained_contact):
     module, _ = trained_contact
     with pytest.raises(ValidationError):
         train_action_module([], module, FAST_ACTION, tiny_config)
-    with pytest.raises(ValidationError):
-        ActionModuleConfig(lambda_joint=-0.1)
-    joint = ActionModuleConfig(
-        hidden_width=8, epochs=1, batch_size=4, lambda_joint=0.5
-    )
-    with pytest.raises(ValidationError, match="staged"):
-        train_action_module(clips, module, joint, tiny_config)
-    thawed = type(module)(model=module.model, config=module.config, frozen=False)
-    with pytest.raises(ValidationError, match="frozen"):
-        train_action_module(clips, thawed, FAST_ACTION, tiny_config)
+    with pytest.raises(ValidationError, match="augment_contact"):
+        train_action_module(clips, None, FAST_ACTION, tiny_config)
 
 
 def test_train_action_rejects_out_of_range_labels(tiny_synth, tiny_config, trained_contact):
