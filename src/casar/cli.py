@@ -138,8 +138,9 @@ def _dataset_config(doc: dict, eta_c: float | None = None, eta_d: float | None =
     unknown = set(tsec) - {"eta_c", "eta_d"}
     if unknown:
         raise ValidationError(f"config thresholds section: unknown keys {sorted(unknown)}")
-    cval = eta_c if eta_c is not None else tsec.get("eta_c", 0.02)
-    dval = eta_d if eta_d is not None else tsec.get("eta_d", 0.20)
+    default = DatasetConfig().thresholds
+    cval = eta_c if eta_c is not None else tsec.get("eta_c", default.eta_c)
+    dval = eta_d if eta_d is not None else tsec.get("eta_d", default.eta_d)
     thr = ContactThresholds(eta_c=cval, eta_d=dval)
     return _build_section(DatasetConfig, section, {"thresholds": thr}, "config dataset section")
 
@@ -280,12 +281,9 @@ def cmd_synth(args) -> int:
     )
     clips, meshes, contacts = synth_generate(spec)
     out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DataIOError(f"cannot create output directory {out}: {exc}") from exc
-    write_clips(clips, out / "clips.jsonl")
+    # meshes/ first: a directory that cannot take it fails before any file is written
     write_meshes(meshes, out / "meshes")
+    write_clips(clips, out / "clips.jsonl")
     write_contact_targets(contacts, out / "contacts.jsonl")
     _write_manifest(RunManifest(
         command="synth",
@@ -306,16 +304,9 @@ def cmd_synth(args) -> int:
 def cmd_derive_contact(args) -> int:
     started, t0 = _utc_now(), time.time()
     doc = _load_config(args.config)
-    tsec = doc.get("thresholds", {})
-    eta_c = tsec.get("eta_c", 0.02)
-    eta_d = tsec.get("eta_d", 0.20)
-    if args.preset == "fpha":
-        eta_d = 0.10
-    if args.eta_c is not None:
-        eta_c = args.eta_c
-    if args.eta_d is not None:
-        eta_d = args.eta_d
-    dc = _dataset_config(doc, eta_c, eta_d)
+    # a flag wins over the preset, which wins over the config file
+    eta_d = 0.10 if args.eta_d is None and args.preset == "fpha" else args.eta_d
+    dc = _dataset_config(doc, args.eta_c, eta_d)
     clips = load_clips(args.clips, dc)
     meshes = load_meshes(args.meshes)
     samples = derive_contact_dataset(clips, meshes, dc.thresholds)

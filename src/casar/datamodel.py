@@ -2,7 +2,7 @@
 
 A frame encodes to a flat vector ``[hand joints | 21 object pose points |
 object one-hot]``; a clip is a fixed number of such frames flattened in
-order, optionally augmented with per-frame contact-map features.
+order.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ class DatasetConfig:
     thresholds: ContactThresholds = field(
         default_factory=lambda: ContactThresholds(eta_c=0.02, eta_d=0.20)
     )
-    center_clips: bool = False  # subtract the per-clip mean of all coordinates
 
     def __post_init__(self):
         if self.hands not in (1, 2):
@@ -238,34 +237,11 @@ def resample_frames(clip: ActionClip, n_frames: int) -> ActionClip:
     return replace(clip, frames=tuple(clip.frames[i] for i in idx))
 
 
-def encode_clip(
-    clip: ActionClip,
-    config: DatasetConfig,
-    contact_probs: np.ndarray | None = None,
-) -> np.ndarray:
-    """Flatten a resampled clip, optionally appending per-frame contact features.
-
-    ``contact_probs``, when given, must hold one vector of width
-    ``config.contact_dim`` per frame; each frame encodes as
-    ``[frame vector | contact vector]`` before flattening.
-    """
+def encode_clip(clip: ActionClip, config: DatasetConfig) -> np.ndarray:
+    """Flatten a resampled clip: its encoded frames, in order."""
     n_f = config.frames_per_clip
     if len(clip) != n_f:
         raise ShapeError(
             f"clip {clip.clip_id!r} has {len(clip)} frames; resample to {n_f} first"
         )
-    rows = np.stack([encode_frame(f, config) for f in clip.frames])
-    if config.center_clips:
-        coord_width = 3 * (config.joint_count + OBJECT_POSE_POINTS)
-        coords = rows[:, :coord_width].reshape(n_f, -1, 3)
-        rows = rows.copy()
-        rows[:, :coord_width] = (coords - coords.mean(axis=(0, 1))).reshape(n_f, -1)
-    if contact_probs is not None:
-        probs = np.asarray(contact_probs, dtype=np.float64)
-        if probs.shape != (n_f, config.contact_dim):
-            raise ShapeError(
-                f"contact features must have shape ({n_f}, {config.contact_dim}), "
-                f"got {probs.shape}"
-            )
-        rows = np.hstack([rows, probs])
-    return rows.ravel()
+    return np.stack([encode_frame(f, config) for f in clip.frames]).ravel()

@@ -24,9 +24,9 @@ from .pipeline import (
     TrainedActionModule,
     TrainedContactModule,
     predict_action,
-    predict_contact,
     train_action_module,
 )
+from . import neuralcore as nn
 
 ABLATION_VARIANTS = (
     ("baseline", dict(mask_contact=True, mask_distant=True)),
@@ -34,6 +34,8 @@ ABLATION_VARIANTS = (
     ("distant_only", dict(mask_contact=True, mask_distant=False)),
     ("contact_distant", dict(mask_contact=False, mask_distant=False)),
 )
+
+EVAL_BLOCK_ROWS = 4096  # contact frames per forward pass of f in evaluate_pipeline
 
 
 @dataclass(frozen=True)
@@ -135,9 +137,10 @@ def evaluate_pipeline(
     """Score action classification on clips and contact prediction on frames.
 
     Contact accuracy uses the raw (un-resampled) frames in
-    ``contact_samples``.  Pass an empty list when no ground-truth targets
-    exist: the per-object table is then empty and the contact averages are
-    reported as nan.
+    ``contact_samples``, which f scores in blocks of ``EVAL_BLOCK_ROWS``
+    so that memory stays bounded on long recordings.  Pass an empty list
+    when no ground-truth targets exist: the per-object table is then empty
+    and the contact averages are reported as nan.
     """
     if not clips:
         raise ValidationError("cannot evaluate over zero clips")
@@ -151,9 +154,12 @@ def evaluate_pipeline(
     confusion = confusion_matrix(preds, labels, data_config.action_class_count)
 
     if contact_samples and contact is not None:
-        probs = np.stack([
-            predict_contact(contact, encode_frame(s.frame, data_config))
-            for s in contact_samples
+        probs = np.vstack([
+            nn.forward(contact.model, np.stack([
+                encode_frame(s.frame, data_config)
+                for s in contact_samples[start:start + EVAL_BLOCK_ROWS]
+            ]))[0]
+            for start in range(0, len(contact_samples), EVAL_BLOCK_ROWS)
         ])
         objects = [s.frame.object.label_id for s in contact_samples]
         rows, avg_c, avg_d = contact_accuracy_by_object(
@@ -195,13 +201,8 @@ def run_ablation(
     for name, masks in ABLATION_VARIANTS:
         variant_config = replace(config, augment_contact=True, **masks)
         action, _ = train_action_module(train_clips, contact, variant_config, data_config)
-        preds = []
-        labels = []
-        for clip in test_clips:
-            idx, _ = predict_action(contact, action, clip, data_config)
-            preds.append(idx)
-            labels.append(clip.action_label)
-        rows.append(AblationRow(variant=name, accuracy=action_accuracy(preds, labels)))
+        report = evaluate_pipeline(contact, action, test_clips, [], data_config)
+        rows.append(AblationRow(variant=name, accuracy=report.top1_accuracy))
     return rows
 
 

@@ -74,6 +74,22 @@ def _require(cond: bool, path, lineno: int, msg: str) -> None:
         raise ParseError(f"{path}:{lineno}: {msg}")
 
 
+@contextmanager
+def _record(path, lineno: int):
+    """A failure to convert or validate inside the block becomes ``ParseError``.
+
+    This covers numpy's conversion errors (a string coordinate, a ragged
+    list, an integer too large for a float) and the constructors'
+    ``ValidationError``s; the message names ``path:lineno``.
+    """
+    try:
+        yield
+    except ParseError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{path}:{lineno}: {exc}") from exc
+
+
 def _load_jsonl(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -110,16 +126,13 @@ def _parse_frame(raw, clip_fields, config, path, lineno):
     corners = _points(raw.get("bbox_corners"), path, lineno, "bbox_corners", 8)
     pose = np.asarray(raw.get("object_pose"), dtype=np.float64)
     _require(pose.shape == (4, 4), path, lineno, f"object_pose has shape {pose.shape}")
-    try:
-        annotation = ObjectAnnotation(
-            label_id=clip_fields["object_label"],
-            pose_points=expand_bbox_21(corners),
-            world_from_canonical=pose,
-            mesh_id=clip_fields["mesh_id"],
-        )
-        return FrameSample(hand=HandPose(right=right, left=left), object=annotation)
-    except ValidationError as exc:
-        raise ParseError(f"{path}:{lineno}: {exc}") from exc
+    annotation = ObjectAnnotation(
+        label_id=clip_fields["object_label"],
+        pose_points=expand_bbox_21(corners),
+        world_from_canonical=pose,
+        mesh_id=clip_fields["mesh_id"],
+    )
+    return FrameSample(hand=HandPose(right=right, left=left), object=annotation)
 
 
 def load_clips(path, config: DatasetConfig) -> list[ActionClip]:
@@ -133,13 +146,14 @@ def load_clips(path, config: DatasetConfig) -> list[ActionClip]:
         _require(clip_id not in seen, path, lineno, f"duplicate clip_id {clip_id!r}")
         seen.add(clip_id)
         action = rec.get("action_label")
-        _require(isinstance(action, int) and 0 <= action < config.action_class_count,
+        # type() and not isinstance(): JSON true/false load as bool, an int subclass
+        _require(type(action) is int and 0 <= action < config.action_class_count,
                  path, lineno,
-                 f"action_label {action!r} out of range [0, {config.action_class_count})")
+                 f"action_label {action!r} is not an int in [0, {config.action_class_count})")
         obj = rec.get("object_label")
-        _require(isinstance(obj, int) and 0 <= obj < config.object_class_count,
+        _require(type(obj) is int and 0 <= obj < config.object_class_count,
                  path, lineno,
-                 f"object_label {obj!r} out of range [0, {config.object_class_count})")
+                 f"object_label {obj!r} is not an int in [0, {config.object_class_count})")
         mesh_id = rec.get("mesh_id")
         _require(mesh_id is None or isinstance(mesh_id, str), path, lineno,
                  "mesh_id must be a string or null")
@@ -147,11 +161,9 @@ def load_clips(path, config: DatasetConfig) -> list[ActionClip]:
         _require(isinstance(frames_raw, list) and frames_raw, path, lineno,
                  "frames must be a non-empty list")
         fields = {"object_label": obj, "mesh_id": mesh_id}
-        frames = tuple(_parse_frame(f, fields, config, path, lineno) for f in frames_raw)
-        try:
+        with _record(path, lineno):
+            frames = tuple(_parse_frame(f, fields, config, path, lineno) for f in frames_raw)
             clips.append(ActionClip(clip_id=clip_id, action_label=action, frames=frames))
-        except ValidationError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
     return clips
 
 
@@ -237,7 +249,10 @@ def load_meshes(directory) -> dict[str, ObjectMesh]:
 
 def write_meshes(meshes: dict[str, ObjectMesh], directory) -> None:
     d = Path(directory)
-    os.makedirs(d, exist_ok=True)
+    try:
+        d.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataIOError(f"cannot create mesh directory {d}: {exc}") from exc
     for mesh_id, mesh in sorted(meshes.items()):
         write_obj_vertices(d / f"{mesh_id}{MESH_SUFFIX}", mesh.vertices)
 
@@ -257,18 +272,18 @@ def load_contact_targets(path, clips, config: DatasetConfig) -> list[ContactSamp
     for lineno, rec in _load_jsonl(path):
         _require(isinstance(rec, dict), path, lineno, "record must be an object")
         clip_id = rec.get("clip_id")
-        _require(clip_id in by_id, path, lineno, f"unknown clip_id {clip_id!r}")
+        _require(isinstance(clip_id, str) and clip_id in by_id, path, lineno,
+                 f"unknown clip_id {clip_id!r}")
         clip = by_id[clip_id]
         idx = rec.get("frame_index")
-        _require(isinstance(idx, int) and 0 <= idx < len(clip), path, lineno,
-                 f"frame_index {idx!r} out of range for clip {clip_id!r} "
-                 f"({len(clip)} frames)")
-        contact = _bits(rec.get("contact"), path, lineno, "contact", config.joint_count)
-        distant = _bits(rec.get("distant"), path, lineno, "distant", config.joint_count)
-        try:
-            target = ContactMap(contact=contact, distant=distant)
-        except ValidationError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        _require(type(idx) is int and 0 <= idx < len(clip), path, lineno,
+                 f"frame_index {idx!r} is not an int in [0, {len(clip)}) "
+                 f"for clip {clip_id!r}")
+        with _record(path, lineno):
+            target = ContactMap(
+                contact=_bits(rec.get("contact"), path, lineno, "contact", config.joint_count),
+                distant=_bits(rec.get("distant"), path, lineno, "distant", config.joint_count),
+            )
         samples.append(ContactSample(
             frame=clip.frames[idx], target=target, clip_id=clip_id, frame_index=idx,
         ))

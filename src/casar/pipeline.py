@@ -14,6 +14,7 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -182,10 +183,37 @@ def derive_contact_dataset(
     return samples
 
 
-def _epoch_batches(rng: np.random.Generator, count: int, batch_size: int):
-    perm = rng.permutation(count)
-    for start in range(0, count, batch_size):
-        yield perm[start:start + batch_size]
+def _fit(
+    model: nn.MlpModel,
+    X: np.ndarray,
+    targets: np.ndarray,
+    loss_fn,
+    config: ContactModuleConfig | ActionModuleConfig,
+) -> list[float]:
+    """Mini-batch Adam on ``(X, targets)`` under ``config``'s schedule.
+
+    Each epoch visits the rows in a fresh permutation drawn from a
+    generator seeded with ``config.seed``.  Returns one mean loss per
+    epoch, averaged over all rows.
+    """
+    adam = nn.init_adam(model)
+    schedule = config.schedule()
+    rng = np.random.default_rng(config.seed)
+    n = len(X)
+    history: list[float] = []
+    for epoch in range(config.epochs):
+        lr = nn.lr_at(schedule, epoch)
+        perm = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, config.batch_size):
+            batch = perm[start:start + config.batch_size]
+            out, cache = nn.forward(model, X[batch])
+            loss, grad = loss_fn(out, targets[batch])
+            grads = nn.backward(model, cache, grad)
+            nn.adam_step(model, grads, adam, lr)
+            total += loss * len(batch)
+        history.append(total / n)
+    return history
 
 
 def train_contact_module(
@@ -211,22 +239,7 @@ def train_contact_module(
         [data_config.frame_dim, config.hidden_width, config.hidden_width, data_config.contact_dim],
         seed=config.seed,
     )
-    adam = nn.init_adam(model)
-    schedule = config.schedule()
-    focal = config.focal()
-    rng = np.random.default_rng(config.seed)
-    n = len(X)
-    history: list[float] = []
-    for epoch in range(config.epochs):
-        lr = nn.lr_at(schedule, epoch)
-        total = 0.0
-        for batch in _epoch_batches(rng, n, config.batch_size):
-            out, cache = nn.forward(model, X[batch])
-            loss, grad = nn.focal_loss(out, Y[batch], focal)
-            grads = nn.backward(model, cache, grad)
-            nn.adam_step(model, grads, adam, lr)
-            total += loss * len(batch)
-        history.append(total / n)
+    history = _fit(model, X, Y, partial(nn.focal_loss, params=config.focal()), config)
     return TrainedContactModule(model=model, config=config), history
 
 
@@ -254,13 +267,14 @@ def clip_features(
     masked by half) are appended per frame; otherwise the plain clip
     encoding is returned.
     """
-    resampled = resample_frames(clip, data_config.frames_per_clip)
-    if not config.augment_contact:
-        return encode_clip(resampled, data_config)
-    if contact is None:
+    if config.augment_contact and contact is None:
         raise ValidationError("augment_contact requires a trained contact module")
-    frame_vecs = np.stack([encode_frame(f, data_config) for f in resampled.frames])
-    probs, _ = nn.forward(contact.model, frame_vecs)
+    n_f = data_config.frames_per_clip
+    rows = encode_clip(resample_frames(clip, n_f), data_config)
+    if not config.augment_contact:
+        return rows
+    rows = rows.reshape(n_f, data_config.frame_dim)
+    probs, _ = nn.forward(contact.model, rows)
     if probs.shape[1] != data_config.contact_dim:
         raise ShapeError(
             f"contact module emits {probs.shape[1]} values, config expects "
@@ -275,11 +289,7 @@ def clip_features(
             probs[:, :half] = 0.0
         if config.mask_distant:
             probs[:, half:] = 0.0
-    return encode_clip(resampled, data_config, contact_probs=probs)
-
-
-def _loss_for_head(head: str):
-    return nn.action_loss if head == "sigmoid_ce" else nn.softmax_action_loss
+    return np.hstack([rows, probs]).ravel()
 
 
 def train_action_module(
@@ -296,8 +306,6 @@ def train_action_module(
     """
     if not clips:
         raise ValidationError("cannot train the action module on an empty clip list")
-    if config.augment_contact and contact is None:
-        raise ValidationError("augment_contact requires a trained contact module")
     n_classes = data_config.action_class_count
     labels = np.array([c.action_label for c in clips])
     bad = [c.clip_id for c in clips if not 0 <= c.action_label < n_classes]
@@ -320,22 +328,8 @@ def train_action_module(
         seed=config.seed,
         output_activation=head_activation,
     )
-    adam = nn.init_adam(model)
-    schedule = config.schedule()
-    loss_fn = _loss_for_head(config.action_head)
-    rng = np.random.default_rng(config.seed)
-    n = len(X)
-    history: list[float] = []
-    for epoch in range(config.epochs):
-        lr = nn.lr_at(schedule, epoch)
-        total = 0.0
-        for batch in _epoch_batches(rng, n, config.batch_size):
-            out, cache = nn.forward(model, X[batch])
-            loss, grad = loss_fn(out, labels[batch])
-            grads = nn.backward(model, cache, grad)
-            nn.adam_step(model, grads, adam, lr)
-            total += loss * len(batch)
-        history.append(total / n)
+    loss_fn = nn.action_loss if config.action_head == "sigmoid_ce" else nn.softmax_action_loss
+    history = _fit(model, X, labels, loss_fn, config)
     if contact is not None and contact.parameter_digest() != digest_before:
         raise NumericError("contact module parameters changed during action training")
     return TrainedActionModule(model=model, config=config), history

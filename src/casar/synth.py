@@ -23,7 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import ActionClip, ContactSample, FrameSample, HandPose, ObjectAnnotation
+from .datamodel import (
+    ActionClip,
+    ContactSample,
+    DatasetConfig,
+    FrameSample,
+    HandPose,
+    ObjectAnnotation,
+)
 from .errors import NumericError, ValidationError
 from .geometry import (
     ContactThresholds,
@@ -500,7 +507,7 @@ def synth_generate(
     train and test sets can live side by side.
     """
     if thresholds is None:
-        thresholds = ContactThresholds(eta_c=0.02, eta_d=0.20)
+        thresholds = DatasetConfig().thresholds
     mesh_dict = make_meshes()
     meshes = [mesh_dict[k] for k in sorted(mesh_dict)]
     canon_indexes = [build_vertex_index(m.vertices) for m in meshes]

@@ -112,6 +112,39 @@ def test_synth_is_deterministic(tmp_path):
         assert mesh.read_bytes() == (b / "meshes" / mesh.name).read_bytes()
 
 
+def test_synth_writes_nothing_when_meshes_cannot_be_made(tmp_path, capsys):
+    out = tmp_path / "d"
+    out.mkdir()
+    (out / "meshes").write_text("a file, not a directory")
+    assert main(["synth", "--out", str(out)] + SYNTH_ARGS) == 3
+    err = stderr_json(capsys)
+    assert err["error"] == "DataIOError"
+    assert str(out / "meshes") in err["message"]
+    assert not (out / "clips.jsonl").exists()
+
+
+@pytest.mark.parametrize("config,flags,expected", [
+    (None, [], (0.02, 0.20)),
+    (None, ["--preset", "fpha"], (0.02, 0.10)),
+    ({"eta_c": 0.03, "eta_d": 0.15}, [], (0.03, 0.15)),
+    ({"eta_c": 0.03, "eta_d": 0.15}, ["--preset", "fpha"], (0.03, 0.10)),
+    ({"eta_c": 0.03, "eta_d": 0.15}, ["--preset", "fpha", "--eta-c", "0.01",
+                                      "--eta-d", "0.12"], (0.01, 0.12)),
+])
+def test_derive_thresholds_flag_then_preset_then_config_then_default(
+        workspace, tmp_path, config, flags, expected):
+    argv = ["derive-contact", "--clips", str(workspace / "data" / "clips.jsonl"),
+            "--meshes", str(workspace / "data" / "meshes"),
+            "--out", str(tmp_path / "c.jsonl")] + flags
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps({"thresholds": config}))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "c.jsonl.manifest.json").read_text())
+    thresholds = manifest["config"]["dataset"]["thresholds"]
+    assert (thresholds["eta_c"], thresholds["eta_d"]) == expected
+
+
 def test_eval_rerun_is_byte_identical(workspace):
     again = workspace / "report2"
     assert main([

@@ -224,39 +224,6 @@ def test_encode_clip_requires_resampled_length():
     assert vec.shape == (dc.clip_dim,)
 
 
-def test_encode_clip_appends_contact_features_per_frame():
-    dc = DatasetConfig(joints_per_hand=2, frames_per_clip=2)
-    clip = resample_frames(make_clip(dc, n_frames=2), 2)
-    probs = np.arange(2 * dc.contact_dim, dtype=np.float64).reshape(2, dc.contact_dim)
-    vec = encode_clip(clip, dc, contact_probs=probs)
-    assert vec.shape == (dc.augmented_clip_dim,)
-    w = dc.augmented_frame_dim
-    for t in range(2):
-        frame_part = vec[t * w:t * w + dc.frame_dim]
-        contact_part = vec[t * w + dc.frame_dim:(t + 1) * w]
-        np.testing.assert_array_equal(frame_part, encode_frame(clip.frames[t], dc))
-        np.testing.assert_array_equal(contact_part, probs[t])
-
-
-def test_encode_clip_rejects_bad_contact_shape():
-    dc = DatasetConfig(joints_per_hand=2, frames_per_clip=2)
-    clip = resample_frames(make_clip(dc), 2)
-    with pytest.raises(ShapeError):
-        encode_clip(clip, dc, contact_probs=np.zeros((2, dc.contact_dim + 1)))
-
-
-def test_center_clips_zeroes_the_coordinate_mean():
-    dc = DatasetConfig(joints_per_hand=2, frames_per_clip=2, center_clips=True)
-    clip = resample_frames(make_clip(dc), 2)
-    vec = encode_clip(clip, dc)
-    coord_width = 3 * (dc.joint_count + 21)
-    rows = vec.reshape(2, dc.frame_dim)
-    assert abs(rows[:, :coord_width].mean()) < 1e-12
-    # one-hot block untouched
-    np.testing.assert_array_equal(rows[:, -dc.object_class_count:][0],
-                                  one_hot(0, dc.object_class_count))
-
-
 # ---------------------------------------------------------------------------
 # file round trips
 

@@ -2,15 +2,19 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from casar import datamodel
+from casar import neuralcore as nn
 from casar.errors import DataIOError, ShapeError, ValidationError
 from casar.evaluation import (
     ABLATION_VARIANTS,
+    EVAL_BLOCK_ROWS,
     AblationRow,
     action_accuracy,
     confusion_matrix,
@@ -23,6 +27,7 @@ from casar.geometry import ContactMap
 from casar.pipeline import (
     ActionModuleConfig,
     ContactModuleConfig,
+    clip_features,
     train_action_module,
     train_contact_module,
 )
@@ -198,6 +203,42 @@ def test_evaluate_pipeline_without_contact_targets(tiny_synth, tiny_config, stag
     assert report.frame_count == 0
     with pytest.raises(ValidationError):
         evaluate_pipeline(f, g, [], [], tiny_config)
+
+
+def _count_calls(monkeypatch, fn) -> list:
+    """Record each call to ``fn`` made through any casar module that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "casar" or name.startswith("casar."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_frames_are_encoded_once_and_scored_in_blocks(tiny_synth, tiny_config, staged,
+                                                      monkeypatch):
+    clips, _, contacts = tiny_synth
+    f, g = staged
+    encodes = _count_calls(monkeypatch, datamodel.encode_frame)
+    forwards = _count_calls(monkeypatch, nn.forward)
+    clip_features(clips[0], f, g.config, tiny_config)
+    assert len(encodes) == tiny_config.frames_per_clip
+    assert len(contacts) < EVAL_BLOCK_ROWS
+    forwards.clear()
+    report = evaluate_pipeline(f, g, clips, contacts, tiny_config)
+    assert len(forwards) == 2 * len(clips) + 1
+    # smaller blocks: one forward per block, and the same report
+    forwards.clear()
+    monkeypatch.setattr("casar.evaluation.EVAL_BLOCK_ROWS", 50)
+    blocked = evaluate_pipeline(f, g, clips, contacts, tiny_config)
+    assert len(forwards) == 2 * len(clips) + math.ceil(len(contacts) / 50)
+    assert blocked.per_object == report.per_object
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from casar.pipeline import (
     ActionModuleConfig,
     ContactModuleConfig,
     TrainedActionModule,
+    TrainedContactModule,
     clip_features,
     derive_contact_dataset,
     load_checkpoint,
@@ -222,6 +223,27 @@ def test_augment_without_module_is_rejected(tiny_synth, tiny_config):
     clips, _, _ = tiny_synth
     with pytest.raises(ValidationError):
         clip_features(clips[0], None, FAST_ACTION, tiny_config)
+
+
+def test_clip_features_appends_f_outputs_per_frame(tiny_synth, tiny_config, trained_contact):
+    clips, _, _ = tiny_synth
+    module, _ = trained_contact
+    n_f, fd = tiny_config.frames_per_clip, tiny_config.frame_dim
+    rows = encode_clip(resample_frames(clips[0], n_f), tiny_config).reshape(n_f, fd)
+    raw_cfg = ActionModuleConfig(action_head="softmax_ce", binarize_contact=False, seed=1)
+    aug = clip_features(clips[0], module, raw_cfg, tiny_config)
+    assert aug.shape == (tiny_config.augmented_clip_dim,)
+    per_frame = aug.reshape(n_f, tiny_config.augmented_frame_dim)
+    np.testing.assert_array_equal(per_frame[:, :fd], rows)
+    np.testing.assert_array_equal(per_frame[:, fd:], nn.forward(module.model, rows)[0])
+
+
+def test_clip_features_rejects_wrong_contact_width(tiny_synth, tiny_config):
+    clips, _, _ = tiny_synth
+    wide = nn.init_model([tiny_config.frame_dim, 4, tiny_config.contact_dim + 1], seed=0)
+    module = TrainedContactModule(model=wide, config=FAST_CONTACT)
+    with pytest.raises(ShapeError):
+        clip_features(clips[0], module, FAST_ACTION, tiny_config)
 
 
 # ---------------------------------------------------------------------------
