@@ -23,7 +23,7 @@ from .pipeline import (
     ActionModuleConfig,
     TrainedActionModule,
     TrainedContactModule,
-    predict_action,
+    clip_features,
     train_action_module,
 )
 from . import neuralcore as nn
@@ -35,7 +35,7 @@ ABLATION_VARIANTS = (
     ("contact_distant", dict(mask_contact=False, mask_distant=False)),
 )
 
-EVAL_BLOCK_ROWS = 4096  # contact frames per forward pass of f in evaluate_pipeline
+EVAL_BLOCK_ROWS = 4096  # rows per forward pass of f or g in evaluate_pipeline
 
 
 @dataclass(frozen=True)
@@ -136,20 +136,23 @@ def evaluate_pipeline(
 ) -> EvalReport:
     """Score action classification on clips and contact prediction on frames.
 
-    Contact accuracy uses the raw (un-resampled) frames in
-    ``contact_samples``, which f scores in blocks of ``EVAL_BLOCK_ROWS``
-    so that memory stays bounded on long recordings.  Pass an empty list
-    when no ground-truth targets exist: the per-object table is then empty
-    and the contact averages are reported as nan.
+    g scores the stacked clip features, with ties going to the lowest
+    class index as in ``predict_action``.  Contact accuracy uses the raw
+    (un-resampled) frames in ``contact_samples``.  Both networks run in
+    blocks of ``EVAL_BLOCK_ROWS`` rows so that memory stays bounded on
+    large test sets.  Pass an empty list when no ground-truth targets
+    exist: the per-object table is then empty and the contact averages
+    are reported as nan.
     """
     if not clips:
         raise ValidationError("cannot evaluate over zero clips")
-    preds = []
-    labels = []
-    for clip in clips:
-        idx, _ = predict_action(contact, action, clip, data_config)
-        preds.append(idx)
-        labels.append(clip.action_label)
+    features = np.stack([clip_features(c, contact, action.config, data_config) for c in clips])
+    scores = np.vstack([
+        nn.forward(action.model, features[start:start + EVAL_BLOCK_ROWS])[0]
+        for start in range(0, len(clips), EVAL_BLOCK_ROWS)
+    ])
+    preds = np.argmax(scores, axis=1)
+    labels = [c.action_label for c in clips]
     top1 = action_accuracy(preds, labels)
     confusion = confusion_matrix(preds, labels, data_config.action_class_count)
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -104,11 +105,17 @@ def _load_jsonl(path):
         raise DataIOError(f"cannot read {path}: {exc}") from exc
 
 
-def _points(raw, path, lineno, name, count):
-    _require(isinstance(raw, list) and len(raw) == count, path, lineno,
-             f"{name} must be a list of {count} [x, y, z] triples")
+_NUMBER_TYPES = {int, float}  # what json.loads makes of a JSON number; bool is not one
+
+
+def _matrix(raw, path, lineno, name, shape):
+    """A list of ``shape[0]`` rows of ``shape[1]`` JSON numbers, as float64."""
+    _require(isinstance(raw, list) and len(raw) == shape[0] and set(map(type, raw)) == {list},
+             path, lineno, f"{name} must be a list of {shape[0]} rows of {shape[1]} numbers")
+    _require(set(map(type, chain.from_iterable(raw))) <= _NUMBER_TYPES, path, lineno,
+             f"{name} must hold only numbers")
     arr = np.asarray(raw, dtype=np.float64)
-    _require(arr.shape == (count, 3), path, lineno, f"{name} has shape {arr.shape}")
+    _require(arr.shape == shape, path, lineno, f"{name} has shape {arr.shape}")
     _require(bool(np.isfinite(arr).all()), path, lineno, f"{name} has non-finite values")
     return arr
 
@@ -119,13 +126,12 @@ def _parse_frame(raw, clip_fields, config, path, lineno):
     left = raw.get("left")
     if config.hands == 2:
         _require(left is not None, path, lineno, "two-hand dataset but frame has left=null")
-        left = _points(left, path, lineno, "left", J)
+        left = _matrix(left, path, lineno, "left", (J, 3))
     else:
         _require(left is None, path, lineno, "one-hand dataset but frame has a left hand")
-    right = _points(raw.get("right"), path, lineno, "right", J)
-    corners = _points(raw.get("bbox_corners"), path, lineno, "bbox_corners", 8)
-    pose = np.asarray(raw.get("object_pose"), dtype=np.float64)
-    _require(pose.shape == (4, 4), path, lineno, f"object_pose has shape {pose.shape}")
+    right = _matrix(raw.get("right"), path, lineno, "right", (J, 3))
+    corners = _matrix(raw.get("bbox_corners"), path, lineno, "bbox_corners", (8, 3))
+    pose = _matrix(raw.get("object_pose"), path, lineno, "object_pose", (4, 4))
     annotation = ObjectAnnotation(
         label_id=clip_fields["object_label"],
         pose_points=expand_bbox_21(corners),
@@ -260,9 +266,10 @@ def write_meshes(meshes: dict[str, ObjectMesh], directory) -> None:
 def _bits(raw, path, lineno, name, count):
     _require(isinstance(raw, list) and len(raw) == count, path, lineno,
              f"{name} must be a list of {count} bits")
-    arr = np.asarray(raw)
-    _require(bool(np.isin(arr, (0, 1)).all()), path, lineno, f"{name} entries must be 0 or 1")
-    return arr.astype(np.uint8)
+    # by type first: true/false and 1.0 equal 1 but are not the int bits the format writes
+    _require(set(map(type, raw)) <= {int} and set(raw) <= {0, 1}, path, lineno,
+             f"{name} entries must be 0 or 1")
+    return np.asarray(raw, dtype=np.uint8)
 
 
 def load_contact_targets(path, clips, config: DatasetConfig) -> list[ContactSample]:

@@ -22,32 +22,84 @@ _ACTIVATIONS = (RELU, SIGMOID, IDENTITY)
 PRED_CLAMP = 1e-7  # probabilities are clamped to [PRED_CLAMP, 1 - PRED_CLAMP] before any log
 
 
-@dataclass
+def parameter_count(layer_dims) -> int:
+    """Weights plus biases of a dense network with these layer widths."""
+    dims = list(layer_dims)
+    return sum(d_out * (d_in + 1) for d_in, d_out in zip(dims[:-1], dims[1:]))
+
+
+def weight_shapes(layer_dims) -> list[tuple[int, int]]:
+    """(d_out, d_in) of each layer's weight matrix."""
+    dims = list(layer_dims)
+    return list(zip(dims[1:], dims[:-1]))
+
+
+def layer_views(params: np.ndarray, shapes) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight and bias views of one flat parameter vector.
+
+    The layout is every layer's weights in order, row-major with shape
+    (d_out, d_in), then every layer's biases.
+    """
+    weights, biases = [], []
+    off = 0
+    for d_out, d_in in shapes:
+        weights.append(params[off:off + d_out * d_in].reshape(d_out, d_in))
+        off += d_out * d_in
+    for d_out, _ in shapes:
+        biases.append(params[off:off + d_out])
+        off += d_out
+    return weights, biases
+
+
+def _pack(weights, biases) -> np.ndarray:
+    parts = [np.ravel(a) for a in (*weights, *biases)]
+    return np.concatenate(parts, dtype=np.float64) if parts else np.zeros(0)
+
+
 class MlpModel:
     """Weights, biases, and per-layer activation names of a dense network.
 
-    ``weights[l]`` has shape (d_out, d_in); layers chain, hidden layers
-    rectify, and the output layer is sigmoid in the standard configs
-    (identity supports the softmax classification head).
+    ``params`` is one contiguous float64 vector in the ``layer_views``
+    layout; ``weights[l]`` (shape (d_out, d_in)) and ``biases[l]`` are
+    views into it.  Layers chain, hidden layers rectify, and the output
+    layer is sigmoid in the standard configs (identity supports the softmax
+    classification head).  Built from per-layer lists, the model copies
+    them into a new vector; ``from_params`` wraps one that is already
+    filled.
     """
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    activations: list[str]
-
-    def __post_init__(self):
-        if not (len(self.weights) == len(self.biases) == len(self.activations) > 0):
+    def __init__(self, weights, biases, activations):
+        if not (len(weights) == len(biases) == len(activations) > 0):
             raise ValidationError("weights, biases, activations must align and be non-empty")
+        for i, (W, b) in enumerate(zip(weights, biases)):
+            if W.ndim != 2 or b.shape != (W.shape[0],):
+                raise ShapeError(f"layer {i}: weight {W.shape} / bias {b.shape} mismatch")
+            if i > 0 and W.shape[1] != weights[i - 1].shape[0]:
+                raise ShapeError(
+                    f"layer {i}: input width {W.shape[1]} does not chain from "
+                    f"{weights[i - 1].shape[0]}"
+                )
+        dims = [weights[0].shape[1]] + [W.shape[0] for W in weights]
+        self._wrap(_pack(weights, biases), dims, activations)
+
+    @classmethod
+    def from_params(cls, params: np.ndarray, layer_dims, activations) -> MlpModel:
+        """The model over ``params``, laid out for ``layer_dims``; no copy is made."""
+        model = cls.__new__(cls)
+        model._wrap(params, list(layer_dims), activations)
+        return model
+
+    def _wrap(self, params: np.ndarray, dims: list[int], activations) -> None:
+        if len(activations) != len(dims) - 1:
+            raise ValidationError(f"{len(activations)} activations for {len(dims) - 1} layers")
+        if params.dtype != np.float64 or params.shape != (parameter_count(dims),):
+            raise ShapeError(f"parameters {params.dtype}{params.shape} do not fit dims {dims}")
+        self.params = params
+        self.weights, self.biases = layer_views(params, weight_shapes(dims))
+        self.activations = list(activations)
         for i, (W, b, act) in enumerate(zip(self.weights, self.biases, self.activations)):
             if act not in _ACTIVATIONS:
                 raise ValidationError(f"layer {i}: unknown activation {act!r}")
-            if W.ndim != 2 or b.shape != (W.shape[0],):
-                raise ShapeError(f"layer {i}: weight {W.shape} / bias {b.shape} mismatch")
-            if i > 0 and W.shape[1] != self.weights[i - 1].shape[0]:
-                raise ShapeError(
-                    f"layer {i}: input width {W.shape[1]} does not chain from "
-                    f"{self.weights[i - 1].shape[0]}"
-                )
             if not (np.isfinite(W).all() and np.isfinite(b).all()):
                 raise ValidationError(f"layer {i}: non-finite parameters")
 
@@ -65,7 +117,7 @@ class MlpModel:
 
     def parameter_bytes(self) -> bytes:
         """Canonical byte string of all parameters (for freeze checks)."""
-        return b"".join([W.tobytes() for W in self.weights] + [b.tobytes() for b in self.biases])
+        return self.params.tobytes()
 
 
 @dataclass
@@ -81,18 +133,33 @@ class ForwardCache:
         return self.x.shape[0]
 
 
-@dataclass
 class Gradients:
-    """Parameter gradients shaped exactly like the model they came from."""
+    """Parameter gradients in the flat layout of ``MlpModel``.
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    ``params`` is the flat vector, ``weights``/``biases`` its views.
+    Built from per-layer lists, the lists are copied into a new vector.
+    """
+
+    def __init__(self, weights, biases):
+        self.params = _pack(weights, biases)
+        self.weights, self.biases = layer_views(self.params, [np.shape(W) for W in weights])
+
+    @classmethod
+    def empty_like(cls, model: MlpModel) -> Gradients:
+        """Uninitialized gradients laid out like ``model``'s parameters."""
+        grads = cls.__new__(cls)
+        grads.params = np.empty_like(model.params)
+        grads.weights, grads.biases = layer_views(grads.params, [W.shape for W in model.weights])
+        return grads
 
 
 def init_model(layer_dims, seed: int, output_activation: str = SIGMOID) -> MlpModel:
     """Glorot-uniform weights (+-sqrt(6/(fan_in+fan_out))), zero biases.
 
-    Deterministic for a fixed seed.  Hidden layers rectify.
+    Deterministic for a fixed seed.  Hidden layers rectify.  Each weight
+    view is filled in place with the values ``rng.uniform(-limit, limit)``
+    would return, ``-limit + (limit - -limit) * u``, so no per-layer array
+    is built.
     """
     dims = list(layer_dims)
     if len(dims) < 2:
@@ -102,13 +169,16 @@ def init_model(layer_dims, seed: int, output_activation: str = SIGMOID) -> MlpMo
     if output_activation not in _ACTIVATIONS:
         raise ValidationError(f"unknown output activation {output_activation!r}")
     rng = np.random.default_rng(seed)
-    weights, biases, acts = [], [], []
-    for i, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
+    params = np.zeros(parameter_count(dims))
+    weights, _ = layer_views(params, weight_shapes(dims))
+    for W in weights:
+        d_out, d_in = W.shape
         limit = np.sqrt(6.0 / (d_in + d_out))
-        weights.append(rng.uniform(-limit, limit, size=(d_out, d_in)))
-        biases.append(np.zeros(d_out))
-        acts.append(RELU if i < len(dims) - 2 else output_activation)
-    return MlpModel(weights=weights, biases=biases, activations=acts)
+        rng.random(out=W)
+        W *= limit - -limit
+        W += -limit
+    acts = [RELU] * (len(dims) - 2) + [output_activation]
+    return MlpModel.from_params(params, dims, acts)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -163,7 +233,11 @@ def forward(model: MlpModel, inputs) -> tuple[np.ndarray, ForwardCache]:
 
 
 def backward(model: MlpModel, cache: ForwardCache, grad_outputs) -> Gradients:
-    """Exact reverse-mode gradients for the cached forward pass."""
+    """Exact reverse-mode gradients for the cached forward pass.
+
+    Each layer's gradients are written straight into the views of one flat
+    vector laid out like the model's parameters.
+    """
     g = np.asarray(grad_outputs, dtype=np.float64)
     if g.ndim == 1:
         g = g[None, :]
@@ -172,18 +246,16 @@ def backward(model: MlpModel, cache: ForwardCache, grad_outputs) -> Gradients:
             f"output gradient shape {g.shape} does not match forward outputs "
             f"{cache.act[-1].shape}"
         )
-    n_layers = len(model.weights)
-    grad_w = [None] * n_layers
-    grad_b = [None] * n_layers
+    grads = Gradients.empty_like(model)
     delta = g
-    for l in range(n_layers - 1, -1, -1):
+    for l in range(len(model.weights) - 1, -1, -1):
         delta = delta * _derivative(model.activations[l], cache.pre[l], cache.act[l])
         a_in = cache.x if l == 0 else cache.act[l - 1]
-        grad_w[l] = delta.T @ a_in
-        grad_b[l] = delta.sum(axis=0)
+        np.matmul(delta.T, a_in, out=grads.weights[l])
+        delta.sum(axis=0, out=grads.biases[l])
         if l > 0:
             delta = delta @ model.weights[l]
-    return Gradients(weights=grad_w, biases=grad_b)
+    return grads
 
 
 @dataclass(frozen=True)
@@ -281,54 +353,102 @@ def softmax_action_loss(logits, labels) -> tuple[float, np.ndarray]:
     return loss, grad[0] if single else grad
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+ADAM_BLOCK = 32768  # elements per pass of adam_step: 256 KB per operand stays in cache
+
+
 @dataclass
 class AdamState:
-    """First/second moment accumulators and step counter for one model."""
+    """First/second moments in the model's flat layout, and the step count."""
 
-    m_w: list[np.ndarray]
-    v_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_b: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def init_adam(model: MlpModel, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> AdamState:
-    return AdamState(
-        m_w=[np.zeros_like(W) for W in model.weights],
-        v_w=[np.zeros_like(W) for W in model.weights],
-        m_b=[np.zeros_like(b) for b in model.biases],
-        v_b=[np.zeros_like(b) for b in model.biases],
-        beta1=beta1, beta2=beta2, eps=eps,
-    )
+def init_adam(model: MlpModel) -> AdamState:
+    return AdamState(m=np.zeros_like(model.params), v=np.zeros_like(model.params))
+
+
+TRAIN_BYTES_PER_PARAMETER = 32  # float64 parameters, gradients, and Adam's m and v
+_MEMINFO = "/proc/meminfo"
+
+
+def _mem_available() -> int | None:
+    """``MemAvailable`` from ``_MEMINFO`` in bytes; None when it cannot be read."""
+    try:
+        with open(_MEMINFO, encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def check_training_memory(layer_dims) -> None:
+    """Refuse to train a network whose float64 training state cannot fit.
+
+    Training holds ``TRAIN_BYTES_PER_PARAMETER`` bytes per parameter; when
+    that exceeds the memory the kernel reports as available, this raises
+    ``ValidationError`` before anything is allocated.  The check is
+    skipped where ``_MEMINFO`` cannot be read.
+    """
+    needed = TRAIN_BYTES_PER_PARAMETER * parameter_count(layer_dims)
+    available = _mem_available()
+    if available is not None and needed > available:
+        raise ValidationError(
+            f"training a network of layer dims {list(layer_dims)} needs {needed} bytes "
+            f"({TRAIN_BYTES_PER_PARAMETER} per parameter), but only {available} bytes "
+            f"are available"
+        )
 
 
 def adam_step(model: MlpModel, grads: Gradients, state: AdamState,
               lr: float) -> tuple[MlpModel, AdamState]:
-    """One bias-corrected Adam update, applied in place."""
+    """One bias-corrected Adam update, applied in place.
+
+    Per element, in this order of operations:
+        m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+        p -= (lr*(m/corr1)) / (sqrt(v/corr2) + eps)
+    The flat vectors are walked ``ADAM_BLOCK`` elements at a time through
+    two scratch blocks, so every operand stays in cache between the
+    operations and no whole-vector temporary is made.
+    """
     if lr <= 0:
         raise ValidationError(f"learning rate must be positive, got {lr}")
-    if len(grads.weights) != len(model.weights):
-        raise ShapeError("gradient layer count does not match model")
+    shapes = [W.shape for W in model.weights]
+    if [W.shape for W in grads.weights] != shapes or grads.params.shape != model.params.shape:
+        raise ShapeError(f"gradient layout {[W.shape for W in grads.weights]} "
+                         f"does not match model weights {shapes}")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     corr1 = 1.0 - b1**state.t
     corr2 = 1.0 - b2**state.t
-    for params, gs, ms, vs in (
-        (model.weights, grads.weights, state.m_w, state.v_w),
-        (model.biases, grads.biases, state.m_b, state.v_b),
-    ):
-        for p, g, m, v in zip(params, gs, ms, vs):
-            if g.shape != p.shape:
-                raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= lr * (m / corr1) / (np.sqrt(v / corr2) + state.eps)
+    p_all, g_all, m_all, v_all = model.params, grads.params, state.m, state.v
+    n = p_all.size
+    x_all = np.empty(min(n, ADAM_BLOCK))
+    y_all = np.empty_like(x_all)
+    for start in range(0, n, ADAM_BLOCK):
+        stop = min(start + ADAM_BLOCK, n)
+        p, g, m, v = p_all[start:stop], g_all[start:stop], m_all[start:stop], v_all[start:stop]
+        x, y = x_all[:stop - start], y_all[:stop - start]
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=x)
+        m += x
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=x)
+        x *= g
+        v += x
+        np.divide(v, corr2, out=x)
+        np.sqrt(x, out=x)
+        x += ADAM_EPS
+        np.divide(m, corr1, out=y)
+        y *= lr
+        y /= x
+        p -= y
     return model, state
 
 

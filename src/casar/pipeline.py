@@ -229,16 +229,16 @@ def train_contact_module(
     """
     if not samples:
         raise ValidationError("cannot train the contact module on an empty sample list")
+    dims = [data_config.frame_dim, config.hidden_width, config.hidden_width,
+            data_config.contact_dim]
+    nn.check_training_memory(dims)
     X = np.stack([encode_frame(s.frame, data_config) for s in samples])
     Y = np.stack([s.target.as_target_vector() for s in samples])
     if Y.shape[1] != data_config.contact_dim:
         raise ShapeError(
             f"targets have width {Y.shape[1]}, config expects {data_config.contact_dim}"
         )
-    model = nn.init_model(
-        [data_config.frame_dim, config.hidden_width, config.hidden_width, data_config.contact_dim],
-        seed=config.seed,
-    )
+    model = nn.init_model(dims, seed=config.seed)
     history = _fit(model, X, Y, partial(nn.focal_loss, params=config.focal()), config)
     return TrainedContactModule(model=model, config=config), history
 
@@ -314,20 +314,19 @@ def train_action_module(
             f"action labels out of range [0, {n_classes}) in clips: {bad[:5]}"
         )
 
-    digest_before = contact.parameter_digest() if contact is not None else None
-    X = np.stack([clip_features(c, contact, config, data_config) for c in clips])
     expected = (
         data_config.augmented_clip_dim if config.augment_contact else data_config.clip_dim
     )
+    dims = [expected, config.hidden_width, config.hidden_width, n_classes]
+    nn.check_training_memory(dims)
+
+    digest_before = contact.parameter_digest() if contact is not None else None
+    X = np.stack([clip_features(c, contact, config, data_config) for c in clips])
     if X.shape[1] != expected:
         raise ShapeError(f"clip features have width {X.shape[1]}, expected {expected}")
 
     head_activation = nn.SIGMOID if config.action_head == "sigmoid_ce" else nn.IDENTITY
-    model = nn.init_model(
-        [expected, config.hidden_width, config.hidden_width, n_classes],
-        seed=config.seed,
-        output_activation=head_activation,
-    )
+    model = nn.init_model(dims, seed=config.seed, output_activation=head_activation)
     loss_fn = nn.action_loss if config.action_head == "sigmoid_ce" else nn.softmax_action_loss
     history = _fit(model, X, labels, loss_fn, config)
     if contact is not None and contact.parameter_digest() != digest_before:
@@ -383,7 +382,8 @@ def _sidecar_path(path) -> Path:
     return Path(path).with_name(Path(path).name + ".meta.json")
 
 
-def _take(buf: bytes, offset: int, count: int, what: str, path) -> tuple[bytes, int]:
+def _take(buf: memoryview, offset: int, count: int, what: str,
+          path) -> tuple[memoryview, int]:
     if offset + count > len(buf):
         raise CheckpointError(f"{path}: truncated checkpoint while reading {what}")
     return buf[offset:offset + count], offset + count
@@ -392,12 +392,12 @@ def _take(buf: bytes, offset: int, count: int, what: str, path) -> tuple[bytes, 
 def load_checkpoint(path) -> nn.MlpModel:
     """Read a checkpoint back into a double-precision model."""
     try:
-        buf = Path(path).read_bytes()
+        buf = memoryview(Path(path).read_bytes())
     except OSError as exc:
         raise DataIOError(f"cannot read checkpoint {path}: {exc}") from exc
     raw, off = _take(buf, 0, 8, "magic", path)
     if raw != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic {raw!r}; not a checkpoint file")
+        raise CheckpointError(f"{path}: bad magic {bytes(raw)!r}; not a checkpoint file")
     raw, off = _take(buf, off, 4, "version", path)
     version = struct.unpack("<I", raw)[0]
     if version != CHECKPOINT_VERSION:
@@ -417,17 +417,28 @@ def load_checkpoint(path) -> nn.MlpModel:
         if d_in < 1 or d_out < 1:
             raise CheckpointError(f"{path}: layer {i}: bad dims {d_in}x{d_out}")
         headers.append((d_in, d_out, _ACT_NAMES[code]))
-    weights, biases, acts = [], [], []
-    for i, (d_in, d_out, act) in enumerate(headers):
-        raw, off = _take(buf, off, 4 * d_in * d_out, f"layer {i} weights", path)
-        weights.append(np.frombuffer(raw, dtype="<f4").reshape(d_out, d_in).astype(np.float64))
+    dims = [headers[0][0]] + [d_out for _, d_out, _ in headers]
+    for i in range(1, n_layers):
+        if headers[i][0] != dims[i]:
+            raise CheckpointError(
+                f"{path}: inconsistent checkpoint: layer {i} input width {headers[i][0]} "
+                f"does not chain from {dims[i]}"
+            )
+    w_blocks, b_blocks = [], []
+    for i, (d_out, d_in) in enumerate(nn.weight_shapes(dims)):
+        raw, off = _take(buf, off, 4 * d_out * d_in, f"layer {i} weights", path)
+        w_blocks.append(np.frombuffer(raw, dtype="<f4").reshape(d_out, d_in))
         raw, off = _take(buf, off, 4 * d_out, f"layer {i} bias", path)
-        biases.append(np.frombuffer(raw, dtype="<f4").astype(np.float64))
-        acts.append(act)
+        b_blocks.append(np.frombuffer(raw, dtype="<f4"))
     if off != len(buf):
         raise CheckpointError(f"{path}: {len(buf) - off} trailing bytes after parameters")
+    # the file is complete: only now allocate, and cast each block into its view
+    params = np.empty(nn.parameter_count(dims))
+    weights, biases = nn.layer_views(params, nn.weight_shapes(dims))
+    for view, block in zip(weights + biases, w_blocks + b_blocks):
+        view[...] = block
     try:
-        return nn.MlpModel(weights=weights, biases=biases, activations=acts)
+        return nn.MlpModel.from_params(params, dims, [act for _, _, act in headers])
     except ValidationError as exc:
         raise CheckpointError(f"{path}: inconsistent checkpoint: {exc}") from exc
 

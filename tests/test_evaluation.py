@@ -28,6 +28,7 @@ from casar.pipeline import (
     ActionModuleConfig,
     ContactModuleConfig,
     clip_features,
+    predict_action,
     train_action_module,
     train_contact_module,
 )
@@ -232,13 +233,20 @@ def test_frames_are_encoded_once_and_scored_in_blocks(tiny_synth, tiny_config, s
     assert len(contacts) < EVAL_BLOCK_ROWS
     forwards.clear()
     report = evaluate_pipeline(f, g, clips, contacts, tiny_config)
-    assert len(forwards) == 2 * len(clips) + 1
+    # f once per clip inside clip_features, then g once and f once on the stacks
+    assert len(forwards) == len(clips) + 2
+    preds = [predict_action(f, g, c, tiny_config)[0] for c in clips]
+    np.testing.assert_array_equal(
+        report.confusion,
+        confusion_matrix(preds, [c.action_label for c in clips], tiny_config.action_class_count))
     # smaller blocks: one forward per block, and the same report
     forwards.clear()
-    monkeypatch.setattr("casar.evaluation.EVAL_BLOCK_ROWS", 50)
+    monkeypatch.setattr("casar.evaluation.EVAL_BLOCK_ROWS", 5)
     blocked = evaluate_pipeline(f, g, clips, contacts, tiny_config)
-    assert len(forwards) == 2 * len(clips) + math.ceil(len(contacts) / 50)
+    assert len(forwards) == (len(clips) + math.ceil(len(clips) / 5)
+                             + math.ceil(len(contacts) / 5))
     assert blocked.per_object == report.per_object
+    np.testing.assert_array_equal(blocked.confusion, report.confusion)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +265,6 @@ def test_run_ablation_rows_and_determinism(tiny_synth, tiny_config, staged):
 
     masked = replace(FAST_ACTION, mask_contact=True, mask_distant=True)
     g_masked, _ = train_action_module(clips, f, masked, tiny_config)
-    from casar.pipeline import predict_action
-
     preds = [predict_action(f, g_masked, c, tiny_config)[0] for c in clips]
     manual = action_accuracy(preds, [c.action_label for c in clips])
     assert rows[0].accuracy == manual

@@ -56,6 +56,14 @@ MALFORMED = [
     ("clips", ("object_label",), False),
     ("contacts", ("contact", 0), [0, 1]),
     ("contacts", ("frame_index",), True),
+    # strings and booleans are not JSON numbers, even where their value would fit
+    ("clips", ("frames", 0, "right", 0), [0.0, "1.5", True]),
+    ("clips", ("frames", 0, "bbox_corners", 3, 2), "0.25"),
+    ("clips", ("frames", 0, "left", 0, 0), False),
+    ("clips", ("frames", 0, "object_pose", 3, 3), True),
+    ("clips", ("frames", 0, "object_pose", 3, 0), "0"),
+    ("contacts", ("contact",), [False] * DC.joint_count),
+    ("contacts", ("distant",), [0.0] * DC.joint_count),
 ]
 
 

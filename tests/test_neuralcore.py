@@ -7,6 +7,7 @@ import pytest
 
 from casar.errors import NumericError, ShapeError, ValidationError
 from casar.neuralcore import (
+    ADAM_BLOCK,
     IDENTITY,
     PRED_CLAMP,
     RELU,
@@ -24,7 +25,9 @@ from casar.neuralcore import (
     forward,
     init_adam,
     init_model,
+    layer_views,
     lr_at,
+    parameter_count,
     softmax,
     softmax_action_loss,
 )
@@ -245,6 +248,28 @@ def test_model_rejects_inconsistent_layers():
         MlpModel(weights=bad, biases=b, activations=[RELU, SIGMOID])
 
 
+def test_weights_and_biases_are_views_of_one_flat_vector():
+    model = init_model([7, 5, 3], seed=4)
+    assert model.params.shape == (parameter_count([7, 5, 3]),) == (7 * 5 + 5 * 3 + 5 + 3,)
+    for a in model.weights + model.biases:
+        assert a.base is model.params
+    assert model.parameter_bytes() == b"".join(
+        [W.tobytes() for W in model.weights] + [b.tobytes() for b in model.biases])
+    model.params[-1] = 2.5  # the last bias of the last layer
+    assert model.biases[-1][-1] == 2.5
+    # built from lists, the model copies them into its own vector
+    w, b = [np.ones((2, 3)), np.zeros((1, 2))], [np.zeros(2), np.full(1, 4.0)]
+    packed = MlpModel(weights=w, biases=b, activations=[RELU, SIGMOID])
+    np.testing.assert_array_equal(packed.params, [1.0] * 6 + [0.0] * 4 + [4.0])
+    assert not np.shares_memory(packed.weights[0], w[0])
+    # backward writes every layer into the views of one gradient vector
+    _, cache = forward(model, np.ones((2, 7)))
+    grads = backward(model, cache, np.ones((2, 3)))
+    assert grads.params.shape == model.params.shape
+    for a in grads.weights + grads.biases:
+        assert a.base is grads.params
+
+
 def test_forward_single_vector_matches_batch_row():
     model = init_model([6, 4, 2], seed=1)
     x = np.linspace(-1, 1, 6)
@@ -374,6 +399,31 @@ def test_adam_updates_are_deterministic_and_stateful():
         runs.append(model.weights[0][0, 0])
     assert runs[0] == runs[1]
     assert isinstance(state, AdamState) and state.t == 5
+
+
+def test_adam_step_matches_the_unblocked_update_bit_for_bit():
+    """The blocked in-place walk gives exactly the per-array expression's bits."""
+    model = init_model([400, 250, 9], seed=2)
+    n = model.params.size
+    assert n > 3 * ADAM_BLOCK and n % ADAM_BLOCK  # several blocks and a ragged tail
+    ref_p = [a.copy() for a in model.weights + model.biases]
+    ref_m = [np.zeros_like(a) for a in ref_p]
+    ref_v = [np.zeros_like(a) for a in ref_p]
+    state = init_adam(model)
+    rng = np.random.default_rng(3)
+    for t, lr in enumerate((1e-3, 5e-4, 2e-3, 1e-4), start=1):
+        flat = rng.normal(scale=rng.uniform(0.01, 10.0), size=n)
+        gw, gb = layer_views(flat, [W.shape for W in model.weights])
+        adam_step(model, Gradients(weights=gw, biases=gb), state, lr)
+        corr1, corr2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+        for p, g, m, v in zip(ref_p, gw + gb, ref_m, ref_v):
+            m *= 0.9
+            m += (1.0 - 0.9) * g
+            v *= 0.999
+            v += (1.0 - 0.999) * g * g
+            p -= lr * (m / corr1) / (np.sqrt(v / corr2) + 1e-8)
+        assert b"".join(a.tobytes() for a in ref_p) == model.parameter_bytes()
+    assert state.t == 4
 
 
 def test_adam_validation():

@@ -290,6 +290,45 @@ def test_train_action_guards(tiny_synth, tiny_config, trained_contact):
         train_action_module(clips, None, FAST_ACTION, tiny_config)
 
 
+PAPER_G_DIMS = [8992, 5000, 5000, 4]  # the default g on tiny_config's four classes
+
+
+def test_training_that_cannot_fit_in_memory_fails_before_allocating(
+        tiny_synth, tiny_config, trained_contact, monkeypatch):
+    clips, _, contacts = tiny_synth
+    module, _ = trained_contact
+    assert tiny_config.augmented_clip_dim == PAPER_G_DIMS[0]
+    needed = nn.TRAIN_BYTES_PER_PARAMETER * nn.parameter_count(PAPER_G_DIMS)
+    assert needed > 2 * 10**9  # ~70M parameters
+    monkeypatch.setattr(nn, "_mem_available", lambda: 2 * 10**9)
+
+    def no_features(*args):
+        raise AssertionError("clip features were built before the memory check")
+
+    monkeypatch.setattr("casar.pipeline.clip_features", no_features)
+    with pytest.raises(ValidationError) as exc:
+        train_action_module(clips, module, ActionModuleConfig(), tiny_config)
+    assert exc.value.exit_code == 2
+    for part in (str(PAPER_G_DIMS), f"needs {needed} bytes", f"only {2 * 10**9} bytes"):
+        assert part in str(exc.value)
+    monkeypatch.setattr(nn, "_mem_available", lambda: 10**6)
+    with pytest.raises(ValidationError, match=r"\[197, 256, 256, 84\]"):
+        train_contact_module(contacts, ContactModuleConfig(), tiny_config)
+
+
+def test_memory_check_is_skipped_when_meminfo_is_unreadable(tmp_path, monkeypatch):
+    (tmp_path / "meminfo").write_text("MemTotal:       1024 kB\nMemAvailable:   2 kB\n")
+    monkeypatch.setattr(nn, "_MEMINFO", str(tmp_path / "meminfo"))
+    assert nn._mem_available() == 2048
+    with pytest.raises(ValidationError):
+        nn.check_training_memory([40, 8, 2])
+    for name in ("missing", "garbled"):
+        monkeypatch.setattr(nn, "_MEMINFO", str(tmp_path / name))
+        (tmp_path / "garbled").write_text("MemAvailable: lots\n")
+        assert nn._mem_available() is None
+        nn.check_training_memory(PAPER_G_DIMS)
+
+
 def test_train_action_rejects_out_of_range_labels(tiny_synth, tiny_config, trained_contact):
     clips, _, _ = tiny_synth
     module, _ = trained_contact
