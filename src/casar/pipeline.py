@@ -424,8 +424,9 @@ def load_checkpoint(path) -> nn.MlpModel:
                 f"{path}: inconsistent checkpoint: layer {i} input width {headers[i][0]} "
                 f"does not chain from {dims[i]}"
             )
+    shapes = nn.weight_shapes(dims)
     w_blocks, b_blocks = [], []
-    for i, (d_out, d_in) in enumerate(nn.weight_shapes(dims)):
+    for i, (d_out, d_in) in enumerate(shapes):
         raw, off = _take(buf, off, 4 * d_out * d_in, f"layer {i} weights", path)
         w_blocks.append(np.frombuffer(raw, dtype="<f4").reshape(d_out, d_in))
         raw, off = _take(buf, off, 4 * d_out, f"layer {i} bias", path)
@@ -434,7 +435,7 @@ def load_checkpoint(path) -> nn.MlpModel:
         raise CheckpointError(f"{path}: {len(buf) - off} trailing bytes after parameters")
     # the file is complete: only now allocate, and cast each block into its view
     params = np.empty(nn.parameter_count(dims))
-    weights, biases = nn.layer_views(params, nn.weight_shapes(dims))
+    weights, biases = nn.layer_views(params, shapes)
     for view, block in zip(weights + biases, w_blocks + b_blocks):
         view[...] = block
     try:

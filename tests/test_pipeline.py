@@ -1,5 +1,7 @@
 """Contact derivation, staged f/g training, feature assembly, checkpoints."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -322,9 +324,9 @@ def test_memory_check_is_skipped_when_meminfo_is_unreadable(tmp_path, monkeypatc
     assert nn._mem_available() == 2048
     with pytest.raises(ValidationError):
         nn.check_training_memory([40, 8, 2])
+    (tmp_path / "garbled").write_text("MemAvailable: lots\n")
     for name in ("missing", "garbled"):
         monkeypatch.setattr(nn, "_MEMINFO", str(tmp_path / name))
-        (tmp_path / "garbled").write_text("MemAvailable: lots\n")
         assert nn._mem_available() is None
         nn.check_training_memory(PAPER_G_DIMS)
 
@@ -405,8 +407,9 @@ def test_checkpoint_meta_sidecar(tmp_path, trained_contact):
         lambda b: b[:8] + (99).to_bytes(4, "little") + b[12:],  # bad version
         lambda b: b[: len(b) // 2],  # truncated
         lambda b: b + b"\x00\x00\x00\x00",  # trailing garbage
+        lambda b: b[:25] + (7).to_bytes(4, "little") + b[29:],  # layer 1 input width
     ],
-    ids=["magic", "version", "truncated", "trailing"],
+    ids=["magic", "version", "truncated", "trailing", "chain"],
 )
 def test_checkpoint_corruption_detected(tmp_path, trained_contact, mangle):
     module, _ = trained_contact
@@ -414,7 +417,7 @@ def test_checkpoint_corruption_detected(tmp_path, trained_contact, mangle):
     save_checkpoint(module.model, path)
     raw = path.read_bytes()
     path.write_bytes(mangle(raw))
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match="^" + re.escape(str(path))):
         load_checkpoint(path)
 
 
