@@ -8,7 +8,7 @@ analytic gradients can be checked against central finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,15 +122,14 @@ class MlpModel:
 
 @dataclass
 class ForwardCache:
-    """Per-layer pre-activations and activations for one mini-batch."""
+    """The input and every layer's activations for one mini-batch.
+
+    Each activation's derivative is computed from the activation itself,
+    so no pre-activation is kept.
+    """
 
     x: np.ndarray
-    pre: list[np.ndarray]
     act: list[np.ndarray]
-
-    @property
-    def batch_size(self) -> int:
-        return self.x.shape[0]
 
 
 class Gradients:
@@ -182,29 +181,30 @@ def init_model(layer_dims, seed: int, output_activation: str = SIGMOID) -> MlpMo
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp of a non-positive argument cannot overflow; each branch equals the
+    # textbook form on its side of zero bit for bit
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def _apply(act: str, z: np.ndarray) -> np.ndarray:
+    """The activation of ``z``; ReLU overwrites ``z`` in place."""
     if act == RELU:
-        return np.maximum(0.0, z)
+        return np.maximum(0.0, z, out=z)
     if act == SIGMOID:
         return _sigmoid(z)
     return z
 
 
-def _derivative(act: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    # rectifier derivative at exactly 0 is taken as 0
+def _derivative(act: str, a: np.ndarray) -> np.ndarray:
+    """The activation's derivative, from its output ``a``."""
+    # rectifier derivative at exactly 0 is taken as 0; a > 0 exactly where z > 0
     if act == RELU:
-        return (z > 0).astype(np.float64)
+        return a > 0
     if act == SIGMOID:
         return a * (1.0 - a)
-    return np.ones_like(z)
+    return np.ones_like(a)
 
 
 def forward(model: MlpModel, inputs) -> tuple[np.ndarray, ForwardCache]:
@@ -219,25 +219,36 @@ def forward(model: MlpModel, inputs) -> tuple[np.ndarray, ForwardCache]:
         x = x[None, :]
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise ShapeError(f"input width {x.shape} does not match model d0={model.input_dim}")
-    pre, act = [], []
+    act = []
     a = x
     for W, b, name in zip(model.weights, model.biases, model.activations):
-        z = a @ W.T + b
+        z = a @ W.T
+        z += b
         a = _apply(name, z)
-        pre.append(z)
         act.append(a)
     if not np.isfinite(a).all():
         raise NumericError("non-finite network output; parameters are diverging")
     out = a[0] if single else a
-    return out, ForwardCache(x=x, pre=pre, act=act)
+    return out, ForwardCache(x=x, act=act)
 
 
-def backward(model: MlpModel, cache: ForwardCache, grad_outputs) -> Gradients:
-    """Exact reverse-mode gradients for the cached forward pass.
+def _check_layout(model: MlpModel, grads: Gradients) -> None:
+    shapes = [W.shape for W in model.weights]
+    if [W.shape for W in grads.weights] != shapes or grads.params.shape != model.params.shape:
+        raise ShapeError(f"gradient layout {[W.shape for W in grads.weights]} "
+                         f"does not match model weights {shapes}")
 
-    Each layer's gradients are written straight into the views of one flat
-    vector laid out like the model's parameters.
+
+def backward(model: MlpModel, cache: ForwardCache, grad_outputs,
+             grads: Gradients) -> Gradients:
+    """Exact reverse-mode gradients for the cached forward pass, into ``grads``.
+
+    Each layer's gradients are written straight into the views of
+    ``grads``, a vector laid out like the model's parameters, whose old
+    values are overwritten; ``grads`` is returned.  A training loop passes
+    the same vector every step, so no gradient memory is allocated.
     """
+    _check_layout(model, grads)
     g = np.asarray(grad_outputs, dtype=np.float64)
     if g.ndim == 1:
         g = g[None, :]
@@ -246,10 +257,9 @@ def backward(model: MlpModel, cache: ForwardCache, grad_outputs) -> Gradients:
             f"output gradient shape {g.shape} does not match forward outputs "
             f"{cache.act[-1].shape}"
         )
-    grads = Gradients.empty_like(model)
     delta = g
     for l in range(len(model.weights) - 1, -1, -1):
-        delta = delta * _derivative(model.activations[l], cache.pre[l], cache.act[l])
+        delta = delta * _derivative(model.activations[l], cache.act[l])
         a_in = cache.x if l == 0 else cache.act[l - 1]
         np.matmul(delta.T, a_in, out=grads.weights[l])
         delta.sum(axis=0, out=grads.biases[l])
@@ -391,10 +401,12 @@ def _mem_available() -> int | None:
 def check_training_memory(layer_dims) -> None:
     """Refuse to train a network whose float64 training state cannot fit.
 
-    Training holds ``TRAIN_BYTES_PER_PARAMETER`` bytes per parameter; when
-    that exceeds the memory the kernel reports as available, this raises
-    ``ValidationError`` before anything is allocated.  The check is
-    skipped where ``_MEMINFO`` cannot be read.
+    Training peaks at ``TRAIN_BYTES_PER_PARAMETER`` bytes per parameter
+    (parameters, one gradient vector, Adam's two moments) plus the feature
+    matrix and one mini-batch.  When the per-parameter bytes exceed the
+    memory the kernel reports as available, this raises ``ValidationError``
+    before anything is allocated.  The check is skipped where ``_MEMINFO``
+    cannot be read.
     """
     needed = TRAIN_BYTES_PER_PARAMETER * parameter_count(layer_dims)
     available = _mem_available()
@@ -419,10 +431,7 @@ def adam_step(model: MlpModel, grads: Gradients, state: AdamState,
     """
     if lr <= 0:
         raise ValidationError(f"learning rate must be positive, got {lr}")
-    shapes = [W.shape for W in model.weights]
-    if [W.shape for W in grads.weights] != shapes or grads.params.shape != model.params.shape:
-        raise ShapeError(f"gradient layout {[W.shape for W in grads.weights]} "
-                         f"does not match model weights {shapes}")
+    _check_layout(model, grads)
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     corr1 = 1.0 - b1**state.t

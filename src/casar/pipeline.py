@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass
 from functools import partial
@@ -194,9 +195,14 @@ def _fit(
 
     Each epoch visits the rows in a fresh permutation drawn from a
     generator seeded with ``config.seed``.  Returns one mean loss per
-    epoch, averaged over all rows.
+    epoch, averaged over all rows.  The working set is fixed: parameters,
+    one gradient vector, Adam's moments, and one mini-batch with its
+    activations, dropped before the next is drawn.  A ``NumericError`` is
+    re-raised naming the network and the epoch and step (from 0).
     """
+    net = "contact network f" if isinstance(config, ContactModuleConfig) else "action network g"
     adam = nn.init_adam(model)
+    grads = nn.Gradients.empty_like(model)
     schedule = config.schedule()
     rng = np.random.default_rng(config.seed)
     n = len(X)
@@ -205,12 +211,18 @@ def _fit(
         lr = nn.lr_at(schedule, epoch)
         perm = rng.permutation(n)
         total = 0.0
-        for start in range(0, n, config.batch_size):
+        for step, start in enumerate(range(0, n, config.batch_size)):
             batch = perm[start:start + config.batch_size]
-            out, cache = nn.forward(model, X[batch])
-            loss, grad = loss_fn(out, targets[batch])
-            grads = nn.backward(model, cache, grad)
-            nn.adam_step(model, grads, adam, lr)
+            try:
+                out, cache = nn.forward(model, X[batch])
+                loss, grad = loss_fn(out, targets[batch])
+                nn.backward(model, cache, grad, grads)
+                del out, cache, grad
+                nn.adam_step(model, grads, adam, lr)
+            except NumericError as exc:
+                raise NumericError(
+                    f"{net} diverged at epoch {epoch}, step {step}: {exc}"
+                ) from exc
             total += loss * len(batch)
         history.append(total / n)
     return history
@@ -382,36 +394,45 @@ def _sidecar_path(path) -> Path:
     return Path(path).with_name(Path(path).name + ".meta.json")
 
 
-def _take(buf: memoryview, offset: int, count: int, what: str,
-          path) -> tuple[memoryview, int]:
-    if offset + count > len(buf):
+_READ_BLOCK = 1 << 18  # float32 values per read of the parameter blocks (1 MB)
+
+
+def _take(fh, count: int, what: str, path) -> bytes:
+    raw = fh.read(count)
+    if len(raw) != count:
         raise CheckpointError(f"{path}: truncated checkpoint while reading {what}")
-    return buf[offset:offset + count], offset + count
+    return raw
 
 
 def load_checkpoint(path) -> nn.MlpModel:
     """Read a checkpoint back into a double-precision model."""
     try:
-        buf = memoryview(Path(path).read_bytes())
+        with open(path, "rb") as fh:
+            return _read_checkpoint(fh, path)
     except OSError as exc:
         raise DataIOError(f"cannot read checkpoint {path}: {exc}") from exc
-    raw, off = _take(buf, 0, 8, "magic", path)
+
+
+def _read_checkpoint(fh, path) -> nn.MlpModel:
+    """Check the header and the file size, then stream the float32 blocks.
+
+    Each block is cast into its float64 view through one buffer of at most
+    ``_READ_BLOCK`` values, so the file is never held whole.
+    """
+    raw = _take(fh, 8, "magic", path)
     if raw != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic {bytes(raw)!r}; not a checkpoint file")
-    raw, off = _take(buf, off, 4, "version", path)
-    version = struct.unpack("<I", raw)[0]
+        raise CheckpointError(f"{path}: bad magic {raw!r}; not a checkpoint file")
+    version = struct.unpack("<I", _take(fh, 4, "version", path))[0]
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})"
         )
-    raw, off = _take(buf, off, 4, "layer count", path)
-    n_layers = struct.unpack("<I", raw)[0]
+    n_layers = struct.unpack("<I", _take(fh, 4, "layer count", path))[0]
     if not 1 <= n_layers <= _MAX_LAYERS:
         raise CheckpointError(f"{path}: implausible layer count {n_layers}")
     headers = []
     for i in range(n_layers):
-        raw, off = _take(buf, off, 9, f"layer {i} header", path)
-        d_in, d_out, code = struct.unpack("<IIB", raw)
+        d_in, d_out, code = struct.unpack("<IIB", _take(fh, 9, f"layer {i} header", path))
         if code not in _ACT_NAMES:
             raise CheckpointError(f"{path}: layer {i}: unknown activation code {code}")
         if d_in < 1 or d_out < 1:
@@ -424,20 +445,25 @@ def load_checkpoint(path) -> nn.MlpModel:
                 f"{path}: inconsistent checkpoint: layer {i} input width {headers[i][0]} "
                 f"does not chain from {dims[i]}"
             )
-    shapes = nn.weight_shapes(dims)
-    w_blocks, b_blocks = [], []
-    for i, (d_out, d_in) in enumerate(shapes):
-        raw, off = _take(buf, off, 4 * d_out * d_in, f"layer {i} weights", path)
-        w_blocks.append(np.frombuffer(raw, dtype="<f4").reshape(d_out, d_in))
-        raw, off = _take(buf, off, 4 * d_out, f"layer {i} bias", path)
-        b_blocks.append(np.frombuffer(raw, dtype="<f4"))
-    if off != len(buf):
-        raise CheckpointError(f"{path}: {len(buf) - off} trailing bytes after parameters")
-    # the file is complete: only now allocate, and cast each block into its view
-    params = np.empty(nn.parameter_count(dims))
-    weights, biases = nn.layer_views(params, shapes)
-    for view, block in zip(weights + biases, w_blocks + b_blocks):
-        view[...] = block
+    count = nn.parameter_count(dims)
+    expected = fh.tell() + 4 * count
+    size = os.fstat(fh.fileno()).st_size
+    if size < expected:
+        raise CheckpointError(
+            f"{path}: truncated checkpoint: {size} bytes, its layer dims {dims} need {expected}"
+        )
+    if size > expected:
+        raise CheckpointError(f"{path}: {size - expected} trailing bytes after parameters")
+    params = np.empty(count)
+    weights, biases = nn.layer_views(params, nn.weight_shapes(dims))
+    buf = np.empty(min(count, _READ_BLOCK), dtype="<f4")
+    for W, b in zip(weights, biases):  # file order: each layer's weights, then its bias
+        for flat in (W.reshape(-1), b):
+            for start in range(0, flat.size, buf.size):
+                chunk = buf[:flat.size - start]
+                if fh.readinto(chunk) != chunk.nbytes:  # the file shrank after the size check
+                    raise CheckpointError(f"{path}: truncated checkpoint while reading parameters")
+                flat[start:start + chunk.size] = chunk
     try:
         return nn.MlpModel.from_params(params, dims, [act for _, _, act in headers])
     except ValidationError as exc:

@@ -39,8 +39,6 @@ from .geometry import (
     box_corners,
     build_vertex_index,
     expand_bbox_21,
-    make_transform,
-    transform_points,
 )
 from .pipeline import derive_contact_dataset
 
@@ -468,11 +466,15 @@ def _build_clip(
     for i in range(n_frames):
         jitter_rot = _rotation_about(_random_unit(rng), rng.uniform(0.0, 0.10))
         jitter_pos = rng.uniform(-0.02, 0.02, size=3)
-        world = make_transform(jitter_rot @ scene_rot, scene_pos + jitter_pos)
+        # the pose is checked once, by ObjectAnnotation below
+        world = np.eye(4)
+        world[:3, :3] = jitter_rot @ scene_rot
+        world[:3, 3] = scene_pos + jitter_pos
+        rot_t, shift = world[:3, :3].T, world[:3, 3]
 
         acting = placement.acting_joints + offsets[i] * placement.approach_dir
-        acting_w = transform_points(world, acting)
-        other_w = transform_points(world, placement.other_joints)
+        acting_w = acting @ rot_t + shift
+        other_w = placement.other_joints @ rot_t + shift
         if noise_sigma > 0.0:
             acting_w = acting_w + rng.normal(0.0, noise_sigma, size=acting_w.shape)
             other_w = other_w + rng.normal(0.0, noise_sigma, size=other_w.shape)
@@ -482,7 +484,7 @@ def _build_clip(
         else:
             hand = HandPose(right=other_w, left=acting_w)
 
-        pose_points = expand_bbox_21(transform_points(world, canon_pose21[obj_id][1:9]))
+        pose_points = expand_bbox_21(canon_pose21[obj_id][1:9] @ rot_t + shift)
         annotation = ObjectAnnotation(
             label_id=obj_id,
             pose_points=pose_points,

@@ -109,7 +109,7 @@ def _numeric_gradients(model, X, loss_of_output, eps=1e-5):
 def _max_rel_err(model, X, loss_fn) -> float:
     out, cache = nn.forward(model, X)
     _, grad_out = loss_fn(out)
-    analytic = nn.backward(model, cache, grad_out)
+    analytic = nn.backward(model, cache, grad_out, nn.Gradients.empty_like(model))
     num_w, num_b = _numeric_gradients(model, X, lambda o: loss_fn(o)[0])
     worst = 0.0
     for a_list, n_list in (

@@ -17,6 +17,7 @@ from casar.neuralcore import (
     Gradients,
     LrSchedule,
     MlpModel,
+    _sigmoid,
     action_loss,
     adam_step,
     backward,
@@ -80,7 +81,7 @@ def test_backward_matches_finite_differences_focal():
         Y = rng.integers(0, 2, size=(8, 3)).astype(np.float64)
         out, cache = forward(model, X)
         _, grad_out = focal_loss(out, Y, params)
-        analytic = backward(model, cache, grad_out)
+        analytic = backward(model, cache, grad_out, Gradients.empty_like(model))
         numeric = numeric_gradients(model, X, lambda o: focal_loss(o, Y, params)[0])
         assert_grads_close(analytic, numeric)
 
@@ -94,14 +95,14 @@ def test_backward_matches_finite_differences_action_heads():
         out, cache = forward(sig, X)
         _, grad_out = action_loss(out, labels)
         assert_grads_close(
-            backward(sig, cache, grad_out),
+            backward(sig, cache, grad_out, Gradients.empty_like(sig)),
             numeric_gradients(sig, X, lambda o: action_loss(o, labels)[0]),
         )
         lin = init_model([6, 4, 3], seed=300 + draw, output_activation=IDENTITY)
         out, cache = forward(lin, X)
         _, grad_out = softmax_action_loss(out, labels)
         assert_grads_close(
-            backward(lin, cache, grad_out),
+            backward(lin, cache, grad_out, Gradients.empty_like(lin)),
             numeric_gradients(lin, X, lambda o: softmax_action_loss(o, labels)[0]),
         )
 
@@ -264,7 +265,8 @@ def test_weights_and_biases_are_views_of_one_flat_vector():
     assert not np.shares_memory(packed.weights[0], w[0])
     # backward writes every layer into the views of one gradient vector
     _, cache = forward(model, np.ones((2, 7)))
-    grads = backward(model, cache, np.ones((2, 3)))
+    grads = Gradients.empty_like(model)
+    assert backward(model, cache, np.ones((2, 3)), grads) is grads
     assert grads.params.shape == model.params.shape
     for a in grads.weights + grads.biases:
         assert a.base is grads.params
@@ -328,11 +330,43 @@ def test_relu_derivative_is_zero_at_zero():
     )
     out, cache = forward(model, np.array([[0.0]]))
     assert out[0, 0] == 0.0
-    grads = backward(model, cache, np.array([[1.0]]))
+    grads = backward(model, cache, np.array([[1.0]]), Gradients.empty_like(model))
     assert grads.weights[0][0, 0] == 0.0  # no gradient flows through relu(0)
     out, cache = forward(model, np.array([[2.0]]))
-    grads = backward(model, cache, np.array([[1.0]]))
+    grads = backward(model, cache, np.array([[1.0]]), Gradients.empty_like(model))
     assert grads.weights[0][0, 0] == 2.0  # active side: d/dw (w * x) = x
+
+
+def _masked_sigmoid(z):
+    """The two-branch sigmoid through boolean gathers and scatters, as a reference."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_equals_the_masked_formula_bit_for_bit():
+    special = np.array([0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 800.0, -800.0])
+    rng = np.random.default_rng(21)
+    for z in (special, rng.normal(scale=12.0, size=(37, 29)), rng.normal(size=1000)):
+        got = _sigmoid(z)
+        assert got.tobytes() == _masked_sigmoid(z).tobytes()
+    assert _sigmoid(special)[:2].tolist() == [0.5, 0.5]
+
+
+def test_backward_overwrites_the_vector_it_is_given():
+    model = init_model([6, 5, 4, 3], seed=4)
+    rng = np.random.default_rng(5)
+    X, G = rng.normal(size=(9, 6)), rng.normal(size=(9, 3))
+    _, cache = forward(model, X)
+    fresh = backward(model, cache, G, Gradients.empty_like(model))
+    stale = Gradients.empty_like(model)
+    stale.params[:] = np.nan
+    assert backward(model, cache, G, stale).params.tobytes() == fresh.params.tobytes()
+    with pytest.raises(ShapeError, match="gradient layout"):
+        backward(model, cache, G, Gradients.empty_like(init_model([6, 4, 4, 3], seed=4)))
 
 
 def test_clamp_probs_bounds():

@@ -1,6 +1,8 @@
 """Contact derivation, staged f/g training, feature assembly, checkpoints."""
 
 import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from casar.datamodel import (
 from casar.errors import (
     CheckpointError,
     DataIOError,
+    NumericError,
     ShapeError,
     ValidationError,
 )
@@ -27,6 +30,7 @@ from casar.pipeline import (
     ContactModuleConfig,
     TrainedActionModule,
     TrainedContactModule,
+    _fit,
     clip_features,
     derive_contact_dataset,
     load_checkpoint,
@@ -331,6 +335,66 @@ def test_memory_check_is_skipped_when_meminfo_is_unreadable(tmp_path, monkeypatc
         nn.check_training_memory(PAPER_G_DIMS)
 
 
+def test_fit_fills_one_gradient_vector(tiny_synth, tiny_config, monkeypatch):
+    _, _, contacts = tiny_synth
+    built, filled = [], []
+    empty_like, backward = nn.Gradients.empty_like, nn.backward
+
+    def counting_empty_like(model):
+        built.append(empty_like(model))
+        return built[-1]
+
+    def recording_backward(model, cache, grad_outputs, grads):
+        filled.append(grads)
+        return backward(model, cache, grad_outputs, grads)
+
+    monkeypatch.setattr(nn.Gradients, "empty_like", staticmethod(counting_empty_like))
+    monkeypatch.setattr(nn, "backward", recording_backward)
+    train_contact_module(contacts[:120], FAST_CONTACT, tiny_config)
+    steps = FAST_CONTACT.epochs * -(-120 // FAST_CONTACT.batch_size)
+    assert len(built) == 1
+    assert len(filled) == steps and all(g is built[0] for g in filled)
+
+
+def test_fit_peaks_at_the_training_bytes_per_parameter():
+    dims = [2048, 512, 512, 6]  # a g-like net: wide input, narrow head
+    config = ActionModuleConfig(hidden_width=512, epochs=2, base_lr=1e-3, lr_period_epochs=1,
+                                batch_size=32, action_head="softmax_ce")
+    tracemalloc.start()
+    try:
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(96, dims[0]))
+        labels = rng.integers(0, dims[-1], size=len(X))
+        model = nn.init_model(dims, seed=0, output_activation=nn.IDENTITY)
+        _fit(model, X, labels, nn.softmax_action_loss, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    batch = config.batch_size * dims[0] * 8
+    slack = 1 << 20  # Adam's two scratch blocks (512 KB) and one batch's activations
+    bound = nn.TRAIN_BYTES_PER_PARAMETER * nn.parameter_count(dims) + X.nbytes + batch + slack
+    assert peak <= bound, f"peak {peak} exceeds {bound}"
+
+
+@pytest.mark.parametrize("stage", ["contact", "action"])
+def test_diverging_fit_names_the_network_epoch_and_step(
+        tiny_synth, tiny_config, trained_contact, stage):
+    clips, _, contacts = tiny_synth
+    with np.errstate(all="ignore"), pytest.raises(NumericError) as info:
+        if stage == "contact":
+            train_contact_module(
+                contacts[:120], ContactModuleConfig(
+                    hidden_width=16, epochs=3, base_lr=1e300, batch_size=32), tiny_config)
+        else:
+            config = ActionModuleConfig(
+                hidden_width=24, epochs=3, base_lr=1e300, batch_size=4,
+                action_head="softmax_ce", binarize_contact=True)
+            train_action_module(clips, trained_contact[0], config, tiny_config)
+    net = "contact network f" if stage == "contact" else "action network g"
+    assert re.match(net + r" diverged at epoch \d+, step \d+: non-finite", str(info.value))
+    assert isinstance(info.value.__cause__, NumericError)
+
+
 def test_train_action_rejects_out_of_range_labels(tiny_synth, tiny_config, trained_contact):
     clips, _, _ = tiny_synth
     module, _ = trained_contact
@@ -398,6 +462,21 @@ def test_checkpoint_meta_sidecar(tmp_path, trained_contact):
     assert meta["activations"] == module.model.activations
     with pytest.raises(DataIOError):
         load_checkpoint_meta(tmp_path / "missing.ckpt")
+
+
+def test_checkpoint_is_read_without_holding_the_whole_file(
+        tmp_path, trained_contact, monkeypatch):
+    module, _ = trained_contact
+    path = tmp_path / "f.ckpt"
+    save_checkpoint(module.model, path)
+
+    def no_read_bytes(self):
+        raise AssertionError(f"read_bytes({self}) called")
+
+    monkeypatch.setattr(Path, "read_bytes", no_read_bytes)
+    monkeypatch.setattr("casar.pipeline._READ_BLOCK", 7)  # blocks span several reads
+    loaded = load_checkpoint(path)
+    np.testing.assert_array_equal(loaded.params, module.model.params.astype(np.float32))
 
 
 @pytest.mark.parametrize(
