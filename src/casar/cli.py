@@ -40,6 +40,7 @@ from .io import (
     write_meshes,
 )
 from .pipeline import (
+    ACTION_HEADS,
     ActionModuleConfig,
     ContactModuleConfig,
     TrainedActionModule,
@@ -57,31 +58,25 @@ from .synth import SynthSpec, synth_generate
 _CONFIG_SECTIONS = ("dataset", "thresholds", "contact", "action")
 
 
-@dataclasses.dataclass
-class RunManifest:
-    """What ran, with what configuration, on what, producing what."""
+def _write_manifest(path: Path, t0: float, command: str, **fields) -> None:
+    """Write a run manifest with its eight documented keys.
 
-    command: str
-    tool_version: str
-    config: dict
-    seeds: dict
-    inputs: dict
-    outputs: dict
-    started_utc: str
-    elapsed_seconds: float
-
-
-def _utc_now() -> str:
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-
-
-def _write_manifest(manifest: RunManifest, path: Path) -> None:
+    ``fields`` are ``config``, ``seeds``, ``inputs`` and ``outputs``; the
+    wall-clock ``started_utc`` and ``elapsed_seconds`` count from ``t0``.
+    """
+    manifest = {
+        "command": command,
+        "tool_version": __version__,
+        **fields,
+        "started_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t0)),
+        "elapsed_seconds": round(time.time() - t0, 3),
+    }
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise DataIOError(f"cannot write manifest {path}: {exc}") from exc
     with atomic_write(path) as fh:
-        fh.write(json.dumps(dataclasses.asdict(manifest), sort_keys=True, indent=2) + "\n")
+        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 def _print_error(kind: str, message: str) -> None:
@@ -89,7 +84,7 @@ def _print_error(kind: str, message: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# config document handling
+# configs: the --config file, the flags, the checkpoint sidecars
 
 
 def _load_config(path) -> dict:
@@ -114,113 +109,79 @@ def _load_config(path) -> dict:
     return doc
 
 
-def _build_section(cls, section: dict, overrides: dict, what: str):
-    """Instantiate a config dataclass from a JSON section plus flag overrides.
+def _build(cls, raw, where: str, flags: dict | None = None, lenient: bool = False):
+    """A config dataclass from the JSON object ``raw``; its errors start with ``where``.
 
-    Flags win over the file; the dataclass itself validates values.
+    Unknown keys are rejected, or dropped when ``lenient``: a sidecar written
+    by an older casar may carry retired fields.  A nested ``thresholds``
+    object, as a sidecar's dataset carries, is built the same way, strictly.
+    Entries of ``flags`` that name a field and are not None then replace
+    values of the checked config, so a flag never hides a bad file value.
     """
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(section) - known
-    if unknown:
-        raise ValidationError(f"{what}: unknown keys {sorted(unknown)}")
-    merged = dict(section)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    return cls(**merged)
-
-
-def _dataset_config(doc: dict, eta_c: float | None = None, eta_d: float | None = None) -> DatasetConfig:
-    section = dict(doc.get("dataset", {}))
-    if "thresholds" in section:
-        raise ValidationError(
-            'config: eta values belong in the top-level "thresholds" section'
-        )
-    tsec = dict(doc.get("thresholds", {}))
-    unknown = set(tsec) - {"eta_c", "eta_d"}
-    if unknown:
-        raise ValidationError(f"config thresholds section: unknown keys {sorted(unknown)}")
-    default = DatasetConfig().thresholds
-    cval = eta_c if eta_c is not None else tsec.get("eta_c", default.eta_c)
-    dval = eta_d if eta_d is not None else tsec.get("eta_d", default.eta_d)
-    thr = ContactThresholds(eta_c=cval, eta_d=dval)
-    return _build_section(DatasetConfig, section, {"thresholds": thr}, "config dataset section")
-
-
-# config field -> command-line flag (argparse dest) of the training commands
-_TRAIN_FLAGS = {"hidden_width": "hidden_width", "epochs": "epochs", "base_lr": "lr",
-                "batch_size": "batch_size", "seed": "seed", "action_head": "action_head"}
-
-
-def _module_config(cls, doc: dict, section: str, args=None):
-    """A network's config from the file's ``section``, the training flags winning.
-
-    With ``args`` None the file section alone decides.
-    """
-    overrides = {key: getattr(args, flag, None) for key, flag in _TRAIN_FLAGS.items()}
-    return _build_section(cls, doc.get(section, {}), overrides, f"config {section} section")
-
-
-def _dataset_from_meta(meta: dict) -> DatasetConfig | None:
-    raw = meta.get("dataset")
     if not isinstance(raw, dict):
-        return None
-    raw = dict(raw)
-    thr = raw.pop("thresholds", None)
-    known = {f.name for f in dataclasses.fields(DatasetConfig)}
-    kwargs = {k: v for k, v in raw.items() if k in known}
-    if isinstance(thr, dict):
-        kwargs["thresholds"] = ContactThresholds(**thr)
-    return DatasetConfig(**kwargs)
+        raise ValidationError(f"{where}: expected a JSON object, got {type(raw).__name__}")
+    names = {f.name for f in dataclasses.fields(cls)}
+    if not lenient and raw.keys() - names:
+        raise ValidationError(f"{where}: unknown keys {sorted(raw.keys() - names)}")
+    kwargs = {k: v for k, v in raw.items() if k in names}
+    if isinstance(kwargs.get("thresholds"), dict):
+        kwargs["thresholds"] = _build(ContactThresholds, kwargs["thresholds"],
+                                      f"{where} thresholds")
+    try:
+        config = cls(**kwargs)
+    except ValidationError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+    flags = {k: v for k, v in (flags or {}).items() if k in names and v is not None}
+    return dataclasses.replace(config, **flags) if flags else config
 
 
-def _resolve_dataset_config(doc: dict, *metas: dict) -> DatasetConfig:
-    """Config file wins, then the first checkpoint sidecar carrying one."""
-    if "dataset" in doc or "thresholds" in doc:
-        return _dataset_config(doc)
-    for meta in metas:
-        dc = _dataset_from_meta(meta)
-        if dc is not None:
-            return dc
-    return DatasetConfig()
+def _dataset_config(doc: dict, args, *sidecars: tuple) -> DatasetConfig:
+    """The config file's dataset, else the first sidecar's that has one, else the defaults.
+
+    ``sidecars`` are ``(checkpoint path, sidecar)`` pairs.  Threshold flags
+    (``--eta-c``, ``--eta-d``) win over the file's ``thresholds`` section.
+    """
+    if "dataset" not in doc and "thresholds" not in doc:
+        for ckpt, meta in sidecars:
+            if "dataset" in meta:
+                return _build(DatasetConfig, meta["dataset"], f"{ckpt} sidecar dataset",
+                              lenient=True)
+    section, where = doc.get("dataset", {}), f"config {args.config}"
+    if isinstance(section, dict) and "thresholds" in section:
+        raise ValidationError(
+            f'{where} dataset section: eta values belong in the top-level "thresholds" section'
+        )
+    thresholds = _build(ContactThresholds, doc.get("thresholds", {}),
+                        f"{where} thresholds section", vars(args))
+    return _build(DatasetConfig, section, f"{where} dataset section", {"thresholds": thresholds})
 
 
 # ---------------------------------------------------------------------------
-# checkpoint loading
+# checkpoint loading and saving
 
 
-def _filtered_kwargs(cls, raw) -> dict:
-    if not isinstance(raw, dict):
-        return {}
-    known = {f.name for f in dataclasses.fields(cls)}
-    return {k: v for k, v in raw.items() if k in known}
-
-
-_MODULE_TYPES = {
-    "contact": (TrainedContactModule, ContactModuleConfig),
-    "action": (TrainedActionModule, ActionModuleConfig),
-}
-
-
-def _load_module(path, kind: str):
+def _load_module(path, config_cls):
     """A contact or action checkpoint as a trained module, config from its sidecar."""
-    module_cls, config_cls = _MODULE_TYPES[kind]
     model = load_checkpoint(path)
     meta = load_checkpoint_meta(path)
-    kwargs = _filtered_kwargs(config_cls, meta.get("config"))
-    kwargs.setdefault("hidden_width", model.layer_dims[1])
-    return module_cls(model=model, config=config_cls(**kwargs)), meta
+    # a sidecar written by the library's save_checkpoint carries no config
+    raw = meta.get("config", {"hidden_width": model.layer_dims[1]})
+    config = _build(config_cls, raw, f"{path} sidecar config", lenient=True)
+    module_cls = TrainedContactModule if config_cls is ContactModuleConfig else TrainedActionModule
+    return module_cls(model=model, config=config), meta
 
 
 def _load_pipeline(args, doc: dict):
     """f and g from ``--contact-ckpt``/``--action-ckpt``, checked to belong together."""
-    contact, cmeta = _load_module(args.contact_ckpt, "contact")
-    action, ameta = _load_module(args.action_ckpt, "action")
+    contact, cmeta = _load_module(args.contact_ckpt, ContactModuleConfig)
+    action, ameta = _load_module(args.action_ckpt, ActionModuleConfig)
     trained_with, loaded = ameta.get("contact_digest"), contact.parameter_digest()
     if trained_with is not None and trained_with != loaded:
         raise CheckpointError(
             f"{args.action_ckpt} was trained with contact network {trained_with}, "
             f"but {args.contact_ckpt} holds {loaded}"
         )
-    dc = _resolve_dataset_config(doc, ameta, cmeta)
+    dc = _dataset_config(doc, args, (args.action_ckpt, ameta), (args.contact_ckpt, cmeta))
     _check_widths(dc, contact, action)
     return contact, action, dc
 
@@ -240,6 +201,24 @@ def _check_widths(dc: DatasetConfig, contact: TrainedContactModule,
             f"action checkpoint expects input width {action.model.input_dim}, "
             f"clip encoding is {expected}"
         )
+
+
+def _save_trained(args, t0: float, module, history: list, dc: DatasetConfig,
+                  inputs: dict, **meta) -> None:
+    """Write a trained network's checkpoint, its sidecar and its run manifest."""
+    kind = "contact" if isinstance(module, TrainedContactModule) else "action"
+    config, dataset = dataclasses.asdict(module.config), dataclasses.asdict(dc)
+    out = Path(args.out)
+    save_checkpoint(module.model, out, {
+        "kind": kind, "tool_version": __version__, "config": config, "dataset": dataset,
+        "final_loss": history[-1], **meta,
+    })
+    _write_manifest(out.with_name(out.name + ".manifest.json"), t0, f"train-{kind}",
+                    config={"dataset": dataset, kind: config}, seeds={kind: module.config.seed},
+                    inputs=inputs, outputs={"checkpoint": str(out)})
+    unit = "samples" if kind == "contact" else "clips"
+    print(f"trained {kind} module on {meta[unit]} {unit}, "
+          f"loss {history[0]:.6f} -> {history[-1]:.6f}, saved to {out}")
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +250,7 @@ def _load_dataset(data_dir, dc: DatasetConfig, need_contacts: bool):
 
 
 def cmd_synth(args) -> int:
-    started, t0 = _utc_now(), time.time()
+    t0 = time.time()
     spec = SynthSpec(
         class_count=args.classes,
         clips_per_class=args.clips_per_class,
@@ -285,147 +264,83 @@ def cmd_synth(args) -> int:
     write_meshes(meshes, out / "meshes")
     write_clips(clips, out / "clips.jsonl")
     write_contact_targets(contacts, out / "contacts.jsonl")
-    _write_manifest(RunManifest(
-        command="synth",
-        tool_version=__version__,
-        config={"synth": dataclasses.asdict(spec)},
-        seeds={"synth": spec.seed},
-        inputs={},
-        outputs={"clips": str(out / "clips.jsonl"), "meshes": str(out / "meshes"),
-                 "contacts": str(out / "contacts.jsonl")},
-        started_utc=started,
-        elapsed_seconds=round(time.time() - t0, 3),
-    ), out / "manifest.json")
+    _write_manifest(out / "manifest.json", t0, "synth",
+                    config={"synth": dataclasses.asdict(spec)}, seeds={"synth": spec.seed},
+                    inputs={}, outputs={"clips": str(out / "clips.jsonl"),
+                                        "meshes": str(out / "meshes"),
+                                        "contacts": str(out / "contacts.jsonl")})
     print(f"wrote {len(clips)} clips, {len(meshes)} meshes, "
           f"{len(contacts)} contact samples to {out}")
     return 0
 
 
 def cmd_derive_contact(args) -> int:
-    started, t0 = _utc_now(), time.time()
-    doc = _load_config(args.config)
+    t0 = time.time()
     # a flag wins over the preset, which wins over the config file
-    eta_d = 0.10 if args.eta_d is None and args.preset == "fpha" else args.eta_d
-    dc = _dataset_config(doc, args.eta_c, eta_d)
+    if args.eta_d is None and args.preset == "fpha":
+        args.eta_d = 0.10
+    dc = _dataset_config(_load_config(args.config), args)
     clips = load_clips(args.clips, dc)
     meshes = load_meshes(args.meshes)
     samples = derive_contact_dataset(clips, meshes, dc.thresholds)
     out = Path(args.out)
     write_contact_targets(samples, out)
-    _write_manifest(RunManifest(
-        command="derive-contact",
-        tool_version=__version__,
-        config={"dataset": dataclasses.asdict(dc)},
-        seeds={},
-        inputs={"clips": str(args.clips), "meshes": str(args.meshes)},
-        outputs={"contacts": str(out)},
-        started_utc=started,
-        elapsed_seconds=round(time.time() - t0, 3),
-    ), out.with_name(out.name + ".manifest.json"))
+    _write_manifest(out.with_name(out.name + ".manifest.json"), t0, "derive-contact",
+                    config={"dataset": dataclasses.asdict(dc)}, seeds={},
+                    inputs={"clips": str(args.clips), "meshes": str(args.meshes)},
+                    outputs={"contacts": str(out)})
     print(f"derived {len(samples)} contact samples "
           f"(eta_c={dc.thresholds.eta_c}, eta_d={dc.thresholds.eta_d}) to {out}")
     return 0
 
 
 def cmd_train_contact(args) -> int:
-    started, t0 = _utc_now(), time.time()
+    t0 = time.time()
     doc = _load_config(args.config)
-    dc = _dataset_config(doc)
-    fcfg = _module_config(ContactModuleConfig, doc, "contact", args)
+    dc = _dataset_config(doc, args)
+    fcfg = _build(ContactModuleConfig, doc.get("contact", {}),
+                  f"config {args.config} contact section", vars(args))
     _, _, contacts = _load_dataset(args.data, dc, need_contacts=True)
     module, history = train_contact_module(contacts, fcfg, dc)
-    out = Path(args.out)
-    meta = {
-        "kind": "contact",
-        "tool_version": __version__,
-        "config": dataclasses.asdict(fcfg),
-        "dataset": dataclasses.asdict(dc),
-        "samples": len(contacts),
-        "final_loss": history[-1],
-    }
-    save_checkpoint(module.model, out, meta)
-    _write_manifest(RunManifest(
-        command="train-contact",
-        tool_version=__version__,
-        config={"dataset": dataclasses.asdict(dc), "contact": dataclasses.asdict(fcfg)},
-        seeds={"contact": fcfg.seed},
-        inputs={"data": str(args.data)},
-        outputs={"checkpoint": str(out)},
-        started_utc=started,
-        elapsed_seconds=round(time.time() - t0, 3),
-    ), out.with_name(out.name + ".manifest.json"))
-    print(f"trained contact module on {len(contacts)} samples, "
-          f"loss {history[0]:.6f} -> {history[-1]:.6f}, saved to {out}")
+    _save_trained(args, t0, module, history, dc, {"data": str(args.data)}, samples=len(contacts))
     return 0
 
 
 def cmd_train_action(args) -> int:
-    started, t0 = _utc_now(), time.time()
+    t0 = time.time()
     doc = _load_config(args.config)
-    contact, cmeta = _load_module(args.contact_ckpt, "contact")
-    dc = _resolve_dataset_config(doc, cmeta)
+    contact, cmeta = _load_module(args.contact_ckpt, ContactModuleConfig)
+    dc = _dataset_config(doc, args, (args.contact_ckpt, cmeta))
     _check_widths(dc, contact)
-    gcfg = _module_config(ActionModuleConfig, doc, "action", args)
+    gcfg = _build(ActionModuleConfig, doc.get("action", {}),
+                  f"config {args.config} action section", vars(args))
     clips, _, _ = _load_dataset(args.data, dc, need_contacts=False)
     action, history = train_action_module(clips, contact, gcfg, dc)
-    out = Path(args.out)
-    meta = {
-        "kind": "action",
-        "tool_version": __version__,
-        "config": dataclasses.asdict(gcfg),
-        "dataset": dataclasses.asdict(dc),
-        "contact_digest": contact.parameter_digest(),
-        "clips": len(clips),
-        "final_loss": history[-1],
-    }
-    save_checkpoint(action.model, out, meta)
-    _write_manifest(RunManifest(
-        command="train-action",
-        tool_version=__version__,
-        config={"dataset": dataclasses.asdict(dc), "action": dataclasses.asdict(gcfg)},
-        seeds={"action": gcfg.seed},
-        inputs={"data": str(args.data), "contact_ckpt": str(args.contact_ckpt)},
-        outputs={"checkpoint": str(out)},
-        started_utc=started,
-        elapsed_seconds=round(time.time() - t0, 3),
-    ), out.with_name(out.name + ".manifest.json"))
-    print(f"trained action module on {len(clips)} clips, "
-          f"loss {history[0]:.6f} -> {history[-1]:.6f}, saved to {out}")
+    _save_trained(args, t0, action, history, dc,
+                  {"data": str(args.data), "contact_ckpt": str(args.contact_ckpt)},
+                  contact_digest=contact.parameter_digest(), clips=len(clips))
     return 0
 
 
 def cmd_eval(args) -> int:
-    started, t0 = _utc_now(), time.time()
-    doc = _load_config(args.config)
-    contact, action, dc = _load_pipeline(args, doc)
+    t0 = time.time()
+    contact, action, dc = _load_pipeline(args, _load_config(args.config))
     clips, _, contacts = _load_dataset(args.data, dc, need_contacts=False)
     report = evaluate_pipeline(contact, action, clips, contacts, dc)
-    write_report(report, args.report, provenance={
-        "command": "eval",
-        "tool_version": __version__,
-        "data": str(args.data),
-        "contact_ckpt": str(args.contact_ckpt),
-        "action_ckpt": str(args.action_ckpt),
-    })
-    _write_manifest(RunManifest(
-        command="eval",
-        tool_version=__version__,
-        config={"dataset": dataclasses.asdict(dc)},
-        seeds={},
-        inputs={"data": str(args.data), "contact_ckpt": str(args.contact_ckpt),
-                "action_ckpt": str(args.action_ckpt)},
-        outputs={"report": str(args.report)},
-        started_utc=started,
-        elapsed_seconds=round(time.time() - t0, 3),
-    ), Path(args.report) / "manifest.json")
+    inputs = {"data": str(args.data), "contact_ckpt": str(args.contact_ckpt),
+              "action_ckpt": str(args.action_ckpt)}
+    write_report(report, args.report,
+                 provenance={"command": "eval", "tool_version": __version__, **inputs})
+    _write_manifest(Path(args.report) / "manifest.json", t0, "eval",
+                    config={"dataset": dataclasses.asdict(dc)}, seeds={}, inputs=inputs,
+                    outputs={"report": str(args.report)})
     print(f"top-1 accuracy {report.top1_accuracy:.4f} over {report.clip_count} clips; "
           f"report written to {args.report}")
     return 0
 
 
 def cmd_predict(args) -> int:
-    doc = _load_config(args.config)
-    contact, action, dc = _load_pipeline(args, doc)
+    contact, action, dc = _load_pipeline(args, _load_config(args.config))
     clips = load_clips(args.clip, dc)
     for clip in clips:
         idx, out = predict_action(contact, action, clip, dc)
@@ -439,9 +354,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_ablation(args) -> int:
-    started, t0 = _utc_now(), time.time()
+    t0 = time.time()
     doc = _load_config(args.config)
-    dc = _dataset_config(doc)
+    dc = _dataset_config(doc, args)
     train_clips, _, contacts = _load_dataset(
         args.data, dc, need_contacts=args.contact_ckpt is None)
     if args.test_data is not None:
@@ -449,12 +364,14 @@ def cmd_ablation(args) -> int:
     else:
         test_clips = train_clips
     if args.contact_ckpt is not None:
-        contact, _ = _load_module(args.contact_ckpt, "contact")
+        contact, _ = _load_module(args.contact_ckpt, ContactModuleConfig)
     else:
         # the training flags are g's; f comes from the config file alone
-        fcfg = _module_config(ContactModuleConfig, doc, "contact")
+        fcfg = _build(ContactModuleConfig, doc.get("contact", {}),
+                      f"config {args.config} contact section")
         contact, _ = train_contact_module(contacts, fcfg, dc)
-    gcfg = _module_config(ActionModuleConfig, doc, "action", args)
+    gcfg = _build(ActionModuleConfig, doc.get("action", {}),
+                  f"config {args.config} action section", vars(args))
     rows = run_ablation(train_clips, test_clips, contact, gcfg, dc)
     report = Path(args.report)
     try:
@@ -465,18 +382,12 @@ def cmd_ablation(args) -> int:
         fh.write("variant,accuracy\n")
         for row in rows:
             fh.write(f"{row.variant},{row.accuracy!r}\n")
-    _write_manifest(RunManifest(
-        command="ablation",
-        tool_version=__version__,
-        config={"dataset": dataclasses.asdict(dc), "action": dataclasses.asdict(gcfg)},
-        seeds={"action": gcfg.seed},
-        inputs={"data": str(args.data),
-                "test_data": str(args.test_data) if args.test_data else str(args.data),
-                "contact_ckpt": str(args.contact_ckpt) if args.contact_ckpt else None},
-        outputs={"report": str(report / "ablation.csv")},
-        started_utc=started,
-        elapsed_seconds=round(time.time() - t0, 3),
-    ), report / "manifest.json")
+    _write_manifest(report / "manifest.json", t0, "ablation",
+                    config={"dataset": dataclasses.asdict(dc), "action": dataclasses.asdict(gcfg)},
+                    seeds={"action": gcfg.seed},
+                    inputs={"data": str(args.data), "test_data": str(args.test_data or args.data),
+                            "contact_ckpt": args.contact_ckpt and str(args.contact_ckpt)},
+                    outputs={"report": str(report / "ablation.csv")})
     for row in rows:
         print(f"{row.variant:16s} {row.accuracy:.4f}")
     return 0
@@ -492,21 +403,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _add_train_flags(sub, contact: bool) -> None:
-    widths = "256" if contact else "5000"
-    epochs = "100" if contact else "600"
-    lr = "1e-4" if contact else "1e-5"
-    batch = "64 frames" if contact else "16 clips"
-    sub.add_argument("--hidden-width", type=int, default=None,
-                     help=f"hidden layer width (default: {widths})")
-    sub.add_argument("--epochs", type=int, default=None,
-                     help=f"training epochs (default: {epochs})")
-    sub.add_argument("--lr", type=float, default=None,
-                     help=f"base learning rate, decays x0.7 per period (default: {lr})")
-    sub.add_argument("--batch-size", type=int, default=None,
-                     help=f"mini-batch size (default: {batch})")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="initialization and shuffling seed (default: 0)")
+def _add_train_flags(sub, cfg) -> None:
+    """``cfg``'s training flags: each dest names a field, each help shows its default."""
+    unit = "frames" if isinstance(cfg, ContactModuleConfig) else "clips"
+    sub.add_argument("--hidden-width", type=int,
+                     help=f"hidden layer width (default: {cfg.hidden_width})")
+    sub.add_argument("--epochs", type=int, help=f"training epochs (default: {cfg.epochs})")
+    sub.add_argument("--lr", dest="base_lr", metavar="LR", type=float,
+                     help=f"base learning rate, decays x{cfg.lr_decay_factor} per period "
+                          f"(default: {cfg.base_lr})")
+    sub.add_argument("--batch-size", type=int,
+                     help=f"mini-batch size (default: {cfg.batch_size} {unit})")
+    sub.add_argument("--seed", type=int,
+                     help=f"initialization and shuffling seed (default: {cfg.seed})")
+    if isinstance(cfg, ActionModuleConfig):
+        sub.add_argument("--action-head", choices=ACTION_HEADS,
+                         help=f"output head and loss (default: {cfg.action_head})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -541,10 +453,11 @@ def build_parser() -> argparse.ArgumentParser:
                                     "raw frame of every clip.")
     p.add_argument("--clips", required=True, help="clips.jsonl path")
     p.add_argument("--meshes", required=True, help="mesh directory")
-    p.add_argument("--eta-c", type=float, default=None,
-                   help="contact threshold in meters (default: 0.02)")
-    p.add_argument("--eta-d", type=float, default=None,
-                   help="distant threshold in meters (default: 0.20)")
+    thresholds = DatasetConfig().thresholds
+    p.add_argument("--eta-c", type=float,
+                   help=f"contact threshold in meters (default: {thresholds.eta_c})")
+    p.add_argument("--eta-d", type=float,
+                   help=f"distant threshold in meters (default: {thresholds.eta_d})")
     p.add_argument("--preset", choices=["fpha"], default=None,
                    help="dataset preset: fpha sets eta_d=0.10 (default: none)")
     p.add_argument("--config", default=None, help="JSON config file (flags win)")
@@ -557,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--config", default=None, help="JSON config file (flags win)")
     p.add_argument("--out", required=True, help="output checkpoint path")
-    _add_train_flags(p, contact=True)
+    _add_train_flags(p, ContactModuleConfig())
     p.set_defaults(func=cmd_train_contact)
 
     p = subs.add_parser("train-action", help="train the action network g",
@@ -567,9 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--contact-ckpt", required=True, help="trained contact checkpoint")
     p.add_argument("--config", default=None, help="JSON config file (flags win)")
     p.add_argument("--out", required=True, help="output checkpoint path")
-    _add_train_flags(p, contact=False)
-    p.add_argument("--action-head", choices=["sigmoid_ce", "softmax_ce"], default=None,
-                   help="output head and loss (default: sigmoid_ce)")
+    _add_train_flags(p, ActionModuleConfig())
     p.set_defaults(func=cmd_train_action)
 
     p = subs.add_parser("eval", help="evaluate a trained pipeline",
@@ -601,9 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reuse a trained contact checkpoint instead of training one")
     p.add_argument("--config", default=None, help="JSON config file (flags win)")
     p.add_argument("--report", required=True, help="report output directory")
-    _add_train_flags(p, contact=False)
-    p.add_argument("--action-head", choices=["sigmoid_ce", "softmax_ce"], default=None,
-                   help="output head and loss (default: sigmoid_ce)")
+    _add_train_flags(p, ActionModuleConfig())
     p.set_defaults(func=cmd_ablation)
 
     return parser

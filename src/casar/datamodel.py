@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError, ValidationError, check_field_types
 from .geometry import ContactMap, ContactThresholds, as_points, validate_rigid_transform
 
 OBJECT_POSE_POINTS = 21  # center + 8 corners + 12 mid-edge points
@@ -30,11 +30,10 @@ class DatasetConfig:
     object_class_count: int = 8
     action_class_count: int = 36
     frames_per_clip: int = 32
-    thresholds: ContactThresholds = field(
-        default_factory=lambda: ContactThresholds(eta_c=0.02, eta_d=0.20)
-    )
+    thresholds: ContactThresholds = field(default_factory=ContactThresholds)
 
     def __post_init__(self):
+        check_field_types(self)
         if self.hands not in (1, 2):
             raise ValidationError(f"hands must be 1 or 2, got {self.hands}")
         if self.joints_per_hand < 1:

@@ -1,8 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the field type check.
 
 The CLI maps these onto process exit codes: validation/config problems
 exit 2, I/O problems exit 3, numeric failures exit 4.
 """
+
+import dataclasses
+import functools
+import numbers
+import typing
 
 
 class CasarError(Exception):
@@ -39,3 +44,34 @@ class NumericError(CasarError, ArithmeticError):
     """Non-finite values encountered where finite math was required."""
 
     exit_code = 4
+
+
+def _is_a(value, hint) -> bool:
+    if hint is bool or isinstance(value, bool):
+        return hint is bool and isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, numbers.Integral)
+    if hint is float:
+        return isinstance(value, numbers.Real)
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        return (isinstance(value, tuple) and len(value) == len(args)
+                and all(map(_is_a, value, args)))
+    return isinstance(value, hint)
+
+
+_field_types = functools.cache(typing.get_type_hints)
+
+
+def check_field_types(obj) -> None:
+    """Raise ``ValidationError`` naming the first field of a dataclass of the wrong type.
+
+    An ``int`` field takes any ``numbers.Integral`` and a ``float`` field
+    any ``numbers.Real``; ``bool`` counts as neither.
+    """
+    hints = _field_types(type(obj))
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if not _is_a(value, hints[f.name]):
+            kind = getattr(f.type, "__name__", f.type)
+            raise ValidationError(f"{f.name} must be of type {kind}, got {value!r}")

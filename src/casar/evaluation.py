@@ -88,13 +88,12 @@ def contact_accuracy_by_object(
     predicted_probs,
     targets: list,
     object_labels,
-    threshold: float = 0.5,
 ) -> tuple[tuple[ObjectRow, ...], float, float]:
     """Bit accuracies grouped by object label, plus frame-weighted averages.
 
     ``predicted_probs`` holds one probability vector per frame; targets are
-    the matching ContactMaps.  Probabilities at or above the threshold
-    count as predicted 1.
+    the matching ContactMaps.  Probabilities at or above 0.5 count as
+    predicted 1.
     """
     probs = np.asarray(predicted_probs, dtype=np.float64)
     labels = np.asarray(object_labels)
@@ -108,7 +107,7 @@ def contact_accuracy_by_object(
     half = targets[0].joint_count
     if probs.shape[1] != 2 * half:
         raise ShapeError(f"probability width {probs.shape[1]} != 2 x {half} joints")
-    binary = (probs >= threshold).astype(np.uint8)
+    binary = (probs >= 0.5).astype(np.uint8)
     truth = np.stack([t.as_target_vector() for t in targets]).astype(np.uint8)
     hits_contact = (binary[:, :half] == truth[:, :half]).mean(axis=1)
     hits_distant = (binary[:, half:] == truth[:, half:]).mean(axis=1)

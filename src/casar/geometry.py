@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError, ValidationError, check_field_types
 
 # Canonical corner order for an 8-corner box: corner index i has bits
 # (b0, b1, b2) = (i & 1, i >> 1 & 1, i >> 2 & 1), each bit selecting the
@@ -90,10 +90,11 @@ class SpatialIndex:
 class ContactThresholds:
     """Distance thresholds in meters: contact below eta_c, distant above eta_d."""
 
-    eta_c: float
-    eta_d: float
+    eta_c: float = 0.02
+    eta_d: float = 0.20
 
     def __post_init__(self):
+        check_field_types(self)
         if not (np.isfinite(self.eta_c) and np.isfinite(self.eta_d)):
             raise ValidationError("thresholds must be finite")
         if not (0.0 < self.eta_c < self.eta_d):
@@ -185,24 +186,14 @@ def transform_points(transform, points) -> np.ndarray:
     return pts @ T[:3, :3].T + T[:3, 3]
 
 
-def label_contact_map(
-    joints,
-    index: SpatialIndex,
-    thresholds: ContactThresholds,
-    expected_joint_count: int | None = None,
-) -> ContactMap:
+def label_contact_map(joints, index: SpatialIndex, thresholds: ContactThresholds) -> ContactMap:
     """Label every hand joint against an index of posed mesh vertices.
 
     Comparisons are strict: a distance exactly equal to a threshold sets
     neither bit.  The index must already be built in the same frame as
     the joints.
     """
-    pts = as_points(joints, "joints")
-    if expected_joint_count is not None and len(pts) != expected_joint_count:
-        raise ShapeError(
-            f"expected {expected_joint_count} joints, got {len(pts)}"
-        )
-    dists = index.query_distances(pts)
+    dists = index.query_distances(as_points(joints, "joints"))
     return ContactMap(
         contact=(dists < thresholds.eta_c).astype(np.uint8),
         distant=(dists > thresholds.eta_d).astype(np.uint8),

@@ -34,6 +34,7 @@ from .errors import (
     NumericError,
     ShapeError,
     ValidationError,
+    check_field_types,
 )
 from .geometry import (
     ContactThresholds,
@@ -54,6 +55,13 @@ _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
 _MAX_LAYERS = 64
 
 
+def _check_sizes(config) -> None:
+    if config.hidden_width < 1 or config.epochs < 1 or config.batch_size < 1:
+        raise ValidationError("hidden_width, epochs, batch_size must be positive")
+    if config.seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {config.seed}")
+
+
 @dataclass(frozen=True)
 class ContactModuleConfig:
     """Hyperparameters of the contact network f."""
@@ -69,8 +77,8 @@ class ContactModuleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.hidden_width < 1 or self.epochs < 1 or self.batch_size < 1:
-            raise ValidationError("hidden_width, epochs, batch_size must be positive")
+        check_field_types(self)
+        _check_sizes(self)
         # constructing these validates the numeric ranges
         self.schedule()
         self.focal()
@@ -111,8 +119,8 @@ class ActionModuleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.hidden_width < 1 or self.epochs < 1 or self.batch_size < 1:
-            raise ValidationError("hidden_width, epochs, batch_size must be positive")
+        check_field_types(self)
+        _check_sizes(self)
         if self.action_head not in ACTION_HEADS:
             raise ValidationError(
                 f"action_head must be one of {ACTION_HEADS}, got {self.action_head!r}"
@@ -471,11 +479,14 @@ def _read_checkpoint(fh, path) -> nn.MlpModel:
 
 
 def load_checkpoint_meta(path) -> dict:
-    """Read the JSON sidecar written next to a checkpoint."""
+    """Read the JSON sidecar written next to a checkpoint; it must be one JSON object."""
     meta_path = _sidecar_path(path)
     try:
-        return json.loads(meta_path.read_text(encoding="utf-8"))
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise DataIOError(f"cannot read checkpoint sidecar {meta_path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"{meta_path}: invalid JSON sidecar: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{meta_path}: sidecar must be a JSON object")
+    return meta

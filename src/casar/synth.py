@@ -26,12 +26,11 @@ import numpy as np
 from .datamodel import (
     ActionClip,
     ContactSample,
-    DatasetConfig,
     FrameSample,
     HandPose,
     ObjectAnnotation,
 )
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, check_field_types
 from .geometry import (
     ContactThresholds,
     ObjectMesh,
@@ -113,6 +112,7 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if not 2 <= self.class_count <= len(CLASS_CATALOG):
             raise ValidationError(
                 f"class_count must be in [2, {len(CLASS_CATALOG)}], got {self.class_count}"
@@ -124,6 +124,8 @@ class SynthSpec:
             raise ValidationError(f"frames_range must satisfy 1 <= lo <= hi, got {self.frames_range}")
         if self.noise_sigma < 0:
             raise ValidationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +501,7 @@ def _build_clip(
 def synth_generate(
     spec: SynthSpec,
     clip_prefix: str = "clip",
-    thresholds: ContactThresholds | None = None,
+    thresholds: ContactThresholds = ContactThresholds(),
 ) -> tuple[list[ActionClip], dict[str, ObjectMesh], list[ContactSample]]:
     """Generate a class-balanced two-hand dataset with ground-truth contacts.
 
@@ -508,8 +510,6 @@ def synth_generate(
     identical output; ``clip_prefix`` namespaces clip ids so independent
     train and test sets can live side by side.
     """
-    if thresholds is None:
-        thresholds = DatasetConfig().thresholds
     mesh_dict = make_meshes()
     meshes = [mesh_dict[k] for k in sorted(mesh_dict)]
     canon_indexes = [build_vertex_index(m.vertices) for m in meshes]

@@ -7,7 +7,8 @@ import sys
 import pytest
 
 import casar.cli
-from casar.cli import main
+from casar.cli import build_parser, main
+from casar.datamodel import DatasetConfig
 from casar.pipeline import ActionModuleConfig, ContactModuleConfig, load_checkpoint_meta
 
 SMALL_CFG = {
@@ -40,7 +41,7 @@ SYNTH_ARGS = [
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """Run the whole five-command flow once; tests inspect the artifacts."""
+    """Run the whole flow once, synth through ablation; tests inspect the artifacts."""
     root = tmp_path_factory.mktemp("cli")
     data = root / "data"
     cfg = root / "config.json"
@@ -72,6 +73,13 @@ def workspace(tmp_path_factory):
         "--action-ckpt", str(root / "g.ckpt"),
         "--config", str(cfg),
         "--report", str(root / "report"),
+    ]) == 0
+    assert main([
+        "ablation",
+        "--data", str(data),
+        "--contact-ckpt", str(root / "f.ckpt"),
+        "--config", str(cfg),
+        "--report", str(root / "ablation"),
     ]) == 0
     return root
 
@@ -206,16 +214,25 @@ def test_checkpoint_sidecars_describe_training(workspace):
     assert g_meta["layer_dims"][0] == 8992
 
 
-def test_ablation_command(workspace, tmp_path):
-    report = tmp_path / "ablation"
-    rc = main([
-        "ablation",
-        "--data", str(workspace / "data"),
-        "--contact-ckpt", str(workspace / "f.ckpt"),
-        "--config", str(workspace / "config.json"),
-        "--report", str(report),
-    ])
-    assert rc == 0
+def test_manifests_hold_exactly_the_documented_keys(workspace):
+    documented = {"command", "tool_version", "config", "seeds", "inputs", "outputs",
+                  "started_utc", "elapsed_seconds"}
+    manifests = {
+        "synth": workspace / "data" / "manifest.json",
+        "derive-contact": workspace / "derived.jsonl.manifest.json",
+        "train-contact": workspace / "f.ckpt.manifest.json",
+        "train-action": workspace / "g.ckpt.manifest.json",
+        "eval": workspace / "report" / "manifest.json",
+        "ablation": workspace / "ablation" / "manifest.json",
+    }
+    for command, path in manifests.items():
+        manifest = json.loads(path.read_text())
+        assert set(manifest) == documented, path
+        assert manifest["command"] == command
+
+
+def test_ablation_command(workspace):
+    report = workspace / "ablation"
     lines = (report / "ablation.csv").read_text().strip().splitlines()
     assert lines[0] == "variant,accuracy"
     variants = [ln.split(",")[0] for ln in lines[1:]]
@@ -357,6 +374,90 @@ def test_sidecar_without_contact_digest_is_accepted(workspace, tmp_path, capsys)
     assert len(capsys.readouterr().out.strip().splitlines()) == 12
 
 
+def _sidecar_edit(edit):
+    def apply(meta):
+        edit(meta)
+        return meta
+    return apply
+
+
+# (where the bad value goes, the value or edit, the key the error must name)
+MISTYPED_INPUTS = {
+    "config-hidden-width-string": ("config", {"contact": {"hidden_width": "big"}}, "hidden_width"),
+    "config-hidden-width-bool": ("config", {"contact": {"hidden_width": True}}, "hidden_width"),
+    "config-epochs-float": ("config", {"contact": {"epochs": 2.5}}, "epochs"),
+    "config-seed-negative": ("config", {"contact": {"seed": -1}}, "seed"),
+    "config-base-lr-string": ("config", {"contact": {"base_lr": "x"}}, "base_lr"),
+    "config-eta-c-string": ("config", {"thresholds": {"eta_c": "0.01"}}, "eta_c"),
+    "config-section-not-object": ("config", {"contact": 3}, "contact"),
+    "config-frames-per-clip-float": (
+        "config", {"dataset": {"frames_per_clip": 2.5}}, "frames_per_clip"),
+    "flag-synth-seed-negative": ("synth", ["--seed", "-1"], "seed"),
+    "flag-train-contact-seed-negative": ("train-contact", ["--seed", "-1"], "seed"),
+    "sidecar-hidden-width-string": (
+        "sidecar", _sidecar_edit(lambda m: m["config"].update(hidden_width="x")), "hidden_width"),
+    "sidecar-unknown-threshold": (
+        "sidecar", _sidecar_edit(lambda m: m["dataset"]["thresholds"].update(eta_x=0.1)), "eta_x"),
+    "sidecar-config-not-object": ("sidecar", _sidecar_edit(lambda m: m.update(config="oops")),
+                                  "config"),
+    "sidecar-not-object": ("sidecar", lambda m: [m], "sidecar"),
+}
+
+
+@pytest.mark.parametrize("source,bad,key", MISTYPED_INPUTS.values(), ids=MISTYPED_INPUTS.keys())
+def test_mistyped_input_exits_2_naming_its_file_and_key(workspace, tmp_path, capsys,
+                                                        source, bad, key):
+    data, named = str(workspace / "data"), None
+    if source == "config":
+        named = tmp_path / "c.json"
+        named.write_text(json.dumps(bad))
+        argv = ["train-contact", "--data", data, "--config", str(named),
+                "--out", str(tmp_path / "f.ckpt")]
+    elif source == "sidecar":
+        named = tmp_path / "g.ckpt"
+        named.write_bytes((workspace / "g.ckpt").read_bytes())
+        meta = bad(load_checkpoint_meta(workspace / "g.ckpt"))
+        (tmp_path / "g.ckpt.meta.json").write_text(json.dumps(meta))
+        argv = ["predict", "--clip", str(workspace / "data" / "clips.jsonl"),
+                "--contact-ckpt", str(workspace / "f.ckpt"), "--action-ckpt", str(named)]
+    else:
+        argv = [source, "--out", str(tmp_path / "out")] + bad
+        if source == "train-contact":
+            argv += ["--data", data]
+    assert main(argv) == 2
+    message = stderr_json(capsys)["message"]
+    assert key in message
+    if named is not None:
+        assert str(named) in message
+
+
+def test_flag_does_not_hide_a_mistyped_config_value(workspace, tmp_path, capsys):
+    """The file is checked on its own before the flags replace its values."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"contact": {"epochs": 2.5}}))
+    rc = main(["train-contact", "--data", str(workspace / "data"), "--config", str(cfg),
+               "--epochs", "1", "--out", str(tmp_path / "f.ckpt")])
+    assert rc == 2
+    message = stderr_json(capsys)["message"]
+    assert str(cfg) in message and "epochs" in message
+
+
+def test_sidecar_from_an_older_version_is_accepted(workspace, tmp_path, capsys):
+    """Retired top-level keys of a sidecar's config and dataset are ignored."""
+    g = tmp_path / "g.ckpt"
+    g.write_bytes((workspace / "g.ckpt").read_bytes())
+    meta = load_checkpoint_meta(workspace / "g.ckpt")
+    meta["config"]["center_clips"] = True
+    meta["dataset"]["center_clips"] = True
+    (tmp_path / "g.ckpt.meta.json").write_text(json.dumps(meta))
+    rc = main([
+        "predict", "--clip", str(workspace / "data" / "clips.jsonl"),
+        "--contact-ckpt", str(workspace / "f.ckpt"), "--action-ckpt", str(g),
+    ])
+    assert rc == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 12
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -367,6 +468,29 @@ def test_unknown_command_exits_2(capsys):
 def test_no_command_prints_help(capsys):
     assert main([]) == 2
     assert "usage" in capsys.readouterr().out.lower()
+
+
+@pytest.mark.parametrize("command,config", [
+    ("train-contact", ContactModuleConfig()),
+    ("train-action", ActionModuleConfig()),
+    ("ablation", ActionModuleConfig()),
+], ids=["train-contact", "train-action", "ablation"])
+def test_training_flag_help_shows_the_dataclass_default(command, config):
+    sub = build_parser()._subparsers._group_actions[0].choices[command]
+    helps = {action.dest: action.help for action in sub._actions}
+    fields = ["hidden_width", "epochs", "base_lr", "batch_size", "seed"]
+    if isinstance(config, ActionModuleConfig):
+        fields.append("action_head")
+    for name in fields:
+        assert f"(default: {getattr(config, name)}" in helps[name], name
+
+
+def test_threshold_flag_help_shows_the_dataclass_default():
+    sub = build_parser()._subparsers._group_actions[0].choices["derive-contact"]
+    helps = {action.dest: action.help for action in sub._actions}
+    thresholds = DatasetConfig().thresholds
+    assert f"(default: {thresholds.eta_c})" in helps["eta_c"]
+    assert f"(default: {thresholds.eta_d})" in helps["eta_d"]
 
 
 def test_help_shows_defaults(capsys):

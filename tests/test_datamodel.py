@@ -1,6 +1,7 @@
 """Encodings, resampling, containers, and dataset file round trips."""
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from casar.datamodel import (
     resample_frames,
     resample_indices,
 )
-from casar.errors import ParseError, ShapeError, ValidationError
+from casar.errors import ParseError, ShapeError, ValidationError, check_field_types
 from casar.geometry import ContactMap, box_corners, expand_bbox_21
 from casar.io import (
     load_clips,
@@ -74,6 +75,26 @@ def test_config_validation():
         DatasetConfig(action_class_count=1)
     with pytest.raises(ValidationError):
         DatasetConfig(frames_per_clip=0)
+
+
+@dataclass
+class _Typed:
+    count: int
+    rate: float
+
+
+def test_check_field_types_takes_any_integral_or_real_but_not_bool():
+    check_field_types(_Typed(count=np.int64(3), rate=2))
+    check_field_types(_Typed(count=3, rate=np.float32(0.5)))
+    with pytest.raises(ValidationError, match="count"):
+        check_field_types(_Typed(count=True, rate=0.5))
+    with pytest.raises(ValidationError, match="rate"):
+        check_field_types(_Typed(count=1, rate=False))
+    with pytest.raises(ValidationError, match="count"):
+        check_field_types(_Typed(count=2.0, rate=0.5))
+    with pytest.raises(ValidationError, match="frames_per_clip"):
+        DatasetConfig(frames_per_clip=True)
+    assert DatasetConfig(frames_per_clip=np.int64(3)).clip_dim == 3 * 197
 
 
 # ---------------------------------------------------------------------------

@@ -123,13 +123,6 @@ def test_threshold_validation():
         ContactThresholds(eta_c=np.nan, eta_d=0.2)
 
 
-def test_expected_joint_count_enforced():
-    index = build_vertex_index(np.zeros((1, 3)))
-    thr = ContactThresholds(0.02, 0.20)
-    with pytest.raises(ShapeError):
-        label_contact_map(np.zeros((5, 3)), index, thr, expected_joint_count=42)
-
-
 @given(point_arrays(1, 60), point_arrays(1, 30))
 def test_contact_and_distant_are_mutually_exclusive(verts, joints):
     cmap = label_contact_map(joints, build_vertex_index(verts), ContactThresholds(0.02, 0.20))
