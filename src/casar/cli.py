@@ -17,6 +17,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from . import neuralcore as nn
 from .datamodel import DatasetConfig
@@ -356,16 +358,19 @@ def cmd_predict(args) -> int:
 def cmd_ablation(args) -> int:
     t0 = time.time()
     doc = _load_config(args.config)
-    dc = _dataset_config(doc, args)
-    train_clips, _, contacts = _load_dataset(
-        args.data, dc, need_contacts=args.contact_ckpt is None)
+    contact = None
+    if args.contact_ckpt is not None:
+        contact, cmeta = _load_module(args.contact_ckpt, ContactModuleConfig)
+        dc = _dataset_config(doc, args, (args.contact_ckpt, cmeta))
+        _check_widths(dc, contact)
+    else:
+        dc = _dataset_config(doc, args)
+    train_clips, _, contacts = _load_dataset(args.data, dc, need_contacts=contact is None)
     if args.test_data is not None:
         test_clips, _, _ = _load_dataset(args.test_data, dc, need_contacts=False)
     else:
         test_clips = train_clips
-    if args.contact_ckpt is not None:
-        contact, _ = _load_module(args.contact_ckpt, ContactModuleConfig)
-    else:
+    if contact is None:
         # the training flags are g's; f comes from the config file alone
         fcfg = _build(ContactModuleConfig, doc.get("contact", {}),
                       f"config {args.config} contact section")
@@ -525,7 +530,9 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        return args.func(args)
+        # a diverging fit is reported once, by forward's NumericError
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except CasarError as exc:
         _print_error(type(exc).__name__, str(exc))
         return exc.exit_code

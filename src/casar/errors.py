@@ -6,7 +6,9 @@ exit 2, I/O problems exit 3, numeric failures exit 4.
 
 import dataclasses
 import functools
+import math
 import numbers
+import sys
 import typing
 
 
@@ -52,7 +54,10 @@ def _is_a(value, hint) -> bool:
     if hint is int:
         return isinstance(value, numbers.Integral)
     if hint is float:
-        return isinstance(value, numbers.Real)
+        # NaN, the infinities and integers too large for a float are refused
+        if isinstance(value, numbers.Integral):
+            return abs(value) <= sys.float_info.max
+        return isinstance(value, numbers.Real) and math.isfinite(value)
     if typing.get_origin(hint) is tuple:
         args = typing.get_args(hint)
         return (isinstance(value, tuple) and len(value) == len(args)
@@ -67,11 +72,13 @@ def check_field_types(obj) -> None:
     """Raise ``ValidationError`` naming the first field of a dataclass of the wrong type.
 
     An ``int`` field takes any ``numbers.Integral`` and a ``float`` field
-    any ``numbers.Real``; ``bool`` counts as neither.
+    any finite ``numbers.Real`` that a float can hold; ``bool`` counts as
+    neither.
     """
     hints = _field_types(type(obj))
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
         if not _is_a(value, hints[f.name]):
             kind = getattr(f.type, "__name__", f.type)
+            kind = "finite float" if kind == "float" else kind
             raise ValidationError(f"{f.name} must be of type {kind}, got {value!r}")

@@ -95,8 +95,6 @@ class ContactThresholds:
 
     def __post_init__(self):
         check_field_types(self)
-        if not (np.isfinite(self.eta_c) and np.isfinite(self.eta_d)):
-            raise ValidationError("thresholds must be finite")
         if not (0.0 < self.eta_c < self.eta_d):
             raise ValidationError(
                 f"need 0 < eta_c < eta_d, got eta_c={self.eta_c}, eta_d={self.eta_d}"

@@ -1,9 +1,13 @@
 """Dense network machinery written against numpy only.
 
-Forward/backward passes, the focal and cross-entropy losses, the Adam
-update, and the step-decay learning-rate rule are all explicit here; no
-autodiff framework is involved.  Math runs in double precision so that
-analytic gradients can be checked against central finite differences.
+One layout and one input shape: a network's parameters, its gradients
+and Adam's two moments are each one flat float64 vector in the
+``layer_views`` layout, and every pass runs on a (batch, width) matrix.
+Forward/backward passes, the focal and cross-entropy losses, and the
+Adam update are all explicit here; no autodiff framework is involved.
+Math runs in double precision so that analytic gradients can be checked
+against central finite differences.  The step-decay learning rate is a
+formula over the module configs' fields, in ``pipeline.lr_at``.
 """
 
 from __future__ import annotations
@@ -51,50 +55,24 @@ def layer_views(params: np.ndarray, shapes) -> tuple[list[np.ndarray], list[np.n
     return weights, biases
 
 
-def _pack(weights, biases) -> np.ndarray:
-    parts = [np.ravel(a) for a in (*weights, *biases)]
-    return np.concatenate(parts, dtype=np.float64) if parts else np.zeros(0)
-
-
 class MlpModel:
     """Weights, biases, and per-layer activation names of a dense network.
 
     ``params`` is one contiguous float64 vector in the ``layer_views``
-    layout; ``weights[l]`` (shape (d_out, d_in)) and ``biases[l]`` are
-    views into it.  Layers chain, hidden layers rectify, and the output
-    layer is sigmoid in the standard configs (identity supports the softmax
-    classification head).  Built from per-layer lists, the model copies
-    them into a new vector; ``from_params`` wraps one that is already
-    filled.
+    layout for ``layer_dims``, wrapped without a copy; ``weights[l]``
+    (shape (d_out, d_in)) and ``biases[l]`` are views into it.  Hidden
+    layers rectify, and the output layer is sigmoid in the standard
+    configs (identity supports the softmax classification head).
     """
 
-    def __init__(self, weights, biases, activations):
-        if not (len(weights) == len(biases) == len(activations) > 0):
-            raise ValidationError("weights, biases, activations must align and be non-empty")
-        for i, (W, b) in enumerate(zip(weights, biases)):
-            if W.ndim != 2 or b.shape != (W.shape[0],):
-                raise ShapeError(f"layer {i}: weight {W.shape} / bias {b.shape} mismatch")
-            if i > 0 and W.shape[1] != weights[i - 1].shape[0]:
-                raise ShapeError(
-                    f"layer {i}: input width {W.shape[1]} does not chain from "
-                    f"{weights[i - 1].shape[0]}"
-                )
-        dims = [weights[0].shape[1]] + [W.shape[0] for W in weights]
-        self._wrap(_pack(weights, biases), dims, activations)
-
-    @classmethod
-    def from_params(cls, params: np.ndarray, layer_dims, activations) -> MlpModel:
-        """The model over ``params``, laid out for ``layer_dims``; no copy is made."""
-        model = cls.__new__(cls)
-        model._wrap(params, list(layer_dims), activations)
-        return model
-
-    def _wrap(self, params: np.ndarray, dims: list[int], activations) -> None:
-        if len(activations) != len(dims) - 1:
-            raise ValidationError(f"{len(activations)} activations for {len(dims) - 1} layers")
+    def __init__(self, params: np.ndarray, layer_dims, activations):
+        dims = list(layer_dims)
+        if len(dims) < 2 or len(activations) != len(dims) - 1:
+            raise ValidationError(f"{len(activations)} activations for layer dims {dims}")
         if params.dtype != np.float64 or params.shape != (parameter_count(dims),):
             raise ShapeError(f"parameters {params.dtype}{params.shape} do not fit dims {dims}")
         self.params = params
+        self.layer_dims = dims
         self.weights, self.biases = layer_views(params, weight_shapes(dims))
         self.activations = list(activations)
         for i, (W, b, act) in enumerate(zip(self.weights, self.biases, self.activations)):
@@ -104,52 +82,16 @@ class MlpModel:
                 raise ValidationError(f"layer {i}: non-finite parameters")
 
     @property
-    def layer_dims(self) -> list[int]:
-        return [self.weights[0].shape[1]] + [W.shape[0] for W in self.weights]
-
-    @property
     def input_dim(self) -> int:
-        return self.weights[0].shape[1]
+        return self.layer_dims[0]
 
     @property
     def output_dim(self) -> int:
-        return self.weights[-1].shape[0]
+        return self.layer_dims[-1]
 
     def parameter_bytes(self) -> bytes:
         """Canonical byte string of all parameters (for freeze checks)."""
         return self.params.tobytes()
-
-
-@dataclass
-class ForwardCache:
-    """The input and every layer's activations for one mini-batch.
-
-    Each activation's derivative is computed from the activation itself,
-    so no pre-activation is kept.
-    """
-
-    x: np.ndarray
-    act: list[np.ndarray]
-
-
-class Gradients:
-    """Parameter gradients in the flat layout of ``MlpModel``.
-
-    ``params`` is the flat vector, ``weights``/``biases`` its views.
-    Built from per-layer lists, the lists are copied into a new vector.
-    """
-
-    def __init__(self, weights, biases):
-        self.params = _pack(weights, biases)
-        self.weights, self.biases = layer_views(self.params, [np.shape(W) for W in weights])
-
-    @classmethod
-    def empty_like(cls, model: MlpModel) -> Gradients:
-        """Uninitialized gradients laid out like ``model``'s parameters."""
-        grads = cls.__new__(cls)
-        grads.params = np.empty_like(model.params)
-        grads.weights, grads.biases = layer_views(grads.params, [W.shape for W in model.weights])
-        return grads
 
 
 def init_model(layer_dims, seed: int, output_activation: str = SIGMOID) -> MlpModel:
@@ -177,7 +119,7 @@ def init_model(layer_dims, seed: int, output_activation: str = SIGMOID) -> MlpMo
         W *= limit - -limit
         W += -limit
     acts = [RELU] * (len(dims) - 2) + [output_activation]
-    return MlpModel.from_params(params, dims, acts)
+    return MlpModel(params, dims, acts)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -207,89 +149,68 @@ def _derivative(act: str, a: np.ndarray) -> np.ndarray:
     return np.ones_like(a)
 
 
-def forward(model: MlpModel, inputs) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network on a batch; returns outputs and the backprop cache.
+def forward(model: MlpModel, X) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Run the network on a (batch, input_dim) matrix.
 
-    Accepts a single vector or a (batch, input_dim) matrix; the output
-    shape follows the input.
+    Returns the outputs and ``acts = [X, a_1, ..., a_L]``, the input and
+    every layer's activations, which is all ``backward`` needs: each
+    activation's derivative is computed from the activation itself.
     """
-    x = np.asarray(inputs, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
+    x = np.asarray(X, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
-        raise ShapeError(f"input width {x.shape} does not match model d0={model.input_dim}")
-    act = []
-    a = x
+        raise ShapeError(f"input shape {x.shape} is not a (batch, {model.input_dim}) batch")
+    acts = [x]
     for W, b, name in zip(model.weights, model.biases, model.activations):
-        z = a @ W.T
+        z = acts[-1] @ W.T
         z += b
-        a = _apply(name, z)
-        act.append(a)
-    if not np.isfinite(a).all():
+        acts.append(_apply(name, z))
+    if not np.isfinite(acts[-1]).all():
         raise NumericError("non-finite network output; parameters are diverging")
-    out = a[0] if single else a
-    return out, ForwardCache(x=x, act=act)
+    return acts[-1], acts
 
 
-def _check_layout(model: MlpModel, grads: Gradients) -> None:
-    shapes = [W.shape for W in model.weights]
-    if [W.shape for W in grads.weights] != shapes or grads.params.shape != model.params.shape:
-        raise ShapeError(f"gradient layout {[W.shape for W in grads.weights]} "
-                         f"does not match model weights {shapes}")
+def _check_layout(model: MlpModel, grads: np.ndarray) -> None:
+    if grads.shape != model.params.shape:
+        raise ShapeError(f"gradient layout {grads.shape} does not match model parameters "
+                         f"{model.params.shape}")
 
 
-def backward(model: MlpModel, cache: ForwardCache, grad_outputs,
-             grads: Gradients) -> Gradients:
-    """Exact reverse-mode gradients for the cached forward pass, into ``grads``.
+def backward(model: MlpModel, acts: list[np.ndarray], grad_outputs,
+             grads: np.ndarray) -> np.ndarray:
+    """Exact reverse-mode gradients for the forward pass that gave ``acts``.
 
-    Each layer's gradients are written straight into the views of
-    ``grads``, a vector laid out like the model's parameters, whose old
-    values are overwritten; ``grads`` is returned.  A training loop passes
-    the same vector every step, so no gradient memory is allocated.
+    Each layer's gradients are written straight into the ``layer_views``
+    of ``grads``, a float64 vector laid out like the model's parameters,
+    whose old values are overwritten; ``grads`` is returned.  A training
+    loop passes the same vector every step, so no gradient memory is
+    allocated.
     """
     _check_layout(model, grads)
     g = np.asarray(grad_outputs, dtype=np.float64)
-    if g.ndim == 1:
-        g = g[None, :]
-    if g.shape != cache.act[-1].shape:
+    if g.shape != acts[-1].shape:
         raise ShapeError(
-            f"output gradient shape {g.shape} does not match forward outputs "
-            f"{cache.act[-1].shape}"
+            f"output gradient shape {g.shape} does not match forward outputs {acts[-1].shape}"
         )
+    grad_w, grad_b = layer_views(grads, weight_shapes(model.layer_dims))
     delta = g
     for l in range(len(model.weights) - 1, -1, -1):
-        delta = delta * _derivative(model.activations[l], cache.act[l])
-        a_in = cache.x if l == 0 else cache.act[l - 1]
-        np.matmul(delta.T, a_in, out=grads.weights[l])
-        delta.sum(axis=0, out=grads.biases[l])
+        delta = delta * _derivative(model.activations[l], acts[l + 1])
+        np.matmul(delta.T, acts[l], out=grad_w[l])
+        delta.sum(axis=0, out=grad_b[l])
         if l > 0:
             delta = delta @ model.weights[l]
     return grads
-
-
-@dataclass(frozen=True)
-class FocalParams:
-    """Focal-loss hyperparameters: class weight alpha, focusing power gamma."""
-
-    alpha: float = 0.5
-    gamma: float = 4.0
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValidationError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.gamma < 0.0:
-            raise ValidationError(f"gamma must be >= 0, got {self.gamma}")
 
 
 def clamp_probs(pred: np.ndarray) -> np.ndarray:
     return np.clip(pred, PRED_CLAMP, 1.0 - PRED_CLAMP)
 
 
-def focal_loss(pred, target, params: FocalParams) -> tuple[float, np.ndarray]:
+def focal_loss(pred, target, alpha: float, gamma: float) -> tuple[float, np.ndarray]:
     """Mean focal loss over every element, with its gradient wrt ``pred``.
 
-    Per element with target q and prediction p:
+    Per element with target q and prediction p, class weight alpha and
+    focusing power gamma:
         -[alpha * q * (1-p)^gamma * log(p)
           + (1-alpha) * (1-q) * p^gamma * log(1-p)]
     The mean runs over the batch and the target dimensions together.
@@ -298,7 +219,7 @@ def focal_loss(pred, target, params: FocalParams) -> tuple[float, np.ndarray]:
     q = np.asarray(target, dtype=np.float64)
     if p_raw.shape != q.shape:
         raise ShapeError(f"pred shape {p_raw.shape} != target shape {q.shape}")
-    a, g = params.alpha, params.gamma
+    a, g = alpha, gamma
     p = clamp_probs(p_raw)
     one_m_p = 1.0 - p
     log_p = np.log(p)
@@ -311,29 +232,30 @@ def focal_loss(pred, target, params: FocalParams) -> tuple[float, np.ndarray]:
     return float(term.mean()), grad
 
 
+def _check_labels(scores: np.ndarray, labels: np.ndarray) -> None:
+    if scores.ndim != 2 or labels.shape != (scores.shape[0],):
+        raise ShapeError(f"outputs shape {scores.shape} incompatible with labels shape "
+                         f"{labels.shape}")
+    if labels.min() < 0 or labels.max() >= scores.shape[1]:
+        raise ValidationError(f"label out of range [0, {scores.shape[1]})")
+
+
 def action_loss(pred, labels) -> tuple[float, np.ndarray]:
     """Cross-entropy -log(pred[label]) over sigmoid-head class outputs.
 
-    Accepts one probability vector with an integer label, or a batch with
-    a label per row; the loss averages over the batch and the gradient
-    carries the same 1/batch factor.
+    ``pred`` is a batch with one integer label per row; the loss averages
+    over the batch and the gradient carries the same 1/batch factor.
     """
     p = np.asarray(pred, dtype=np.float64)
-    single = p.ndim == 1
-    if single:
-        p = p[None, :]
-    y = np.atleast_1d(np.asarray(labels))
-    if p.ndim != 2 or y.shape != (p.shape[0],):
-        raise ShapeError(f"pred shape {p.shape} incompatible with labels shape {y.shape}")
-    if y.min() < 0 or y.max() >= p.shape[1]:
-        raise ValidationError(f"label out of range [0, {p.shape[1]})")
+    y = np.asarray(labels)
+    _check_labels(p, y)
     n = p.shape[0]
     rows = np.arange(n)
     picked = clamp_probs(p[rows, y])
     loss = float(-np.log(picked).mean())
     grad = np.zeros_like(p)
     grad[rows, y] = -1.0 / (picked * n)
-    return loss, grad[0] if single else grad
+    return loss, grad
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -345,14 +267,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def softmax_action_loss(logits, labels) -> tuple[float, np.ndarray]:
     """Cross-entropy over a softmax of raw class scores (identity head)."""
     z = np.asarray(logits, dtype=np.float64)
-    single = z.ndim == 1
-    if single:
-        z = z[None, :]
-    y = np.atleast_1d(np.asarray(labels))
-    if y.shape != (z.shape[0],):
-        raise ShapeError(f"logits shape {z.shape} incompatible with labels shape {y.shape}")
-    if y.min() < 0 or y.max() >= z.shape[1]:
-        raise ValidationError(f"label out of range [0, {z.shape[1]})")
+    y = np.asarray(labels)
+    _check_labels(z, y)
     n = z.shape[0]
     p = softmax(z)
     rows = np.arange(n)
@@ -360,7 +276,7 @@ def softmax_action_loss(logits, labels) -> tuple[float, np.ndarray]:
     grad = p.copy()
     grad[rows, y] -= 1.0
     grad /= n
-    return loss, grad[0] if single else grad
+    return loss, grad
 
 
 ADAM_BETA1 = 0.9
@@ -418,7 +334,7 @@ def check_training_memory(layer_dims) -> None:
         )
 
 
-def adam_step(model: MlpModel, grads: Gradients, state: AdamState,
+def adam_step(model: MlpModel, grads: np.ndarray, state: AdamState,
               lr: float) -> tuple[MlpModel, AdamState]:
     """One bias-corrected Adam update, applied in place.
 
@@ -436,7 +352,7 @@ def adam_step(model: MlpModel, grads: Gradients, state: AdamState,
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     corr1 = 1.0 - b1**state.t
     corr2 = 1.0 - b2**state.t
-    p_all, g_all, m_all, v_all = model.params, grads.params, state.m, state.v
+    p_all, g_all, m_all, v_all = model.params, grads, state.m, state.v
     n = p_all.size
     x_all = np.empty(min(n, ADAM_BLOCK))
     y_all = np.empty_like(x_all)
@@ -459,32 +375,3 @@ def adam_step(model: MlpModel, grads: Gradients, state: AdamState,
         y /= x
         p -= y
     return model, state
-
-
-@dataclass(frozen=True)
-class LrSchedule:
-    """Step decay: multiply the rate by ``decay_factor`` every period."""
-
-    base_lr: float
-    period_epochs: int
-    total_epochs: int
-    decay_factor: float = 0.7
-
-    def __post_init__(self):
-        if self.base_lr <= 0:
-            raise ValidationError(f"base_lr must be positive, got {self.base_lr}")
-        if not 0.0 < self.decay_factor <= 1.0:
-            raise ValidationError(f"decay_factor must be in (0, 1], got {self.decay_factor}")
-        if self.period_epochs < 1:
-            raise ValidationError("period_epochs must be >= 1")
-        if self.total_epochs < 1:
-            raise ValidationError("total_epochs must be >= 1")
-
-
-def lr_at(schedule: LrSchedule, epoch: int) -> float:
-    """Learning rate in effect at a given epoch."""
-    if not 0 <= epoch < schedule.total_epochs:
-        raise ValidationError(
-            f"epoch {epoch} out of range [0, {schedule.total_epochs})"
-        )
-    return schedule.base_lr * schedule.decay_factor ** (epoch // schedule.period_epochs)

@@ -55,16 +55,24 @@ _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
 _MAX_LAYERS = 64
 
 
-def _check_sizes(config) -> None:
+def _check_fit_fields(config) -> None:
+    """Field types, sizes, seed and step-decay schedule of a module config."""
+    check_field_types(config)
     if config.hidden_width < 1 or config.epochs < 1 or config.batch_size < 1:
         raise ValidationError("hidden_width, epochs, batch_size must be positive")
     if config.seed < 0:
         raise ValidationError(f"seed must be >= 0, got {config.seed}")
+    if config.base_lr <= 0:
+        raise ValidationError(f"base_lr must be positive, got {config.base_lr}")
+    if not 0.0 < config.lr_decay_factor <= 1.0:
+        raise ValidationError(f"lr_decay_factor must be in (0, 1], got {config.lr_decay_factor}")
+    if config.lr_period_epochs < 1:
+        raise ValidationError(f"lr_period_epochs must be >= 1, got {config.lr_period_epochs}")
 
 
 @dataclass(frozen=True)
 class ContactModuleConfig:
-    """Hyperparameters of the contact network f."""
+    """Hyperparameters of the contact network f, focal-loss terms included."""
 
     hidden_width: int = 256
     epochs: int = 100
@@ -77,22 +85,11 @@ class ContactModuleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_field_types(self)
-        _check_sizes(self)
-        # constructing these validates the numeric ranges
-        self.schedule()
-        self.focal()
-
-    def schedule(self) -> nn.LrSchedule:
-        return nn.LrSchedule(
-            base_lr=self.base_lr,
-            period_epochs=self.lr_period_epochs,
-            total_epochs=self.epochs,
-            decay_factor=self.lr_decay_factor,
-        )
-
-    def focal(self) -> nn.FocalParams:
-        return nn.FocalParams(alpha=self.focal_alpha, gamma=self.focal_gamma)
+        _check_fit_fields(self)
+        if not 0.0 < self.focal_alpha < 1.0:
+            raise ValidationError(f"focal_alpha must be in (0, 1), got {self.focal_alpha}")
+        if self.focal_gamma < 0.0:
+            raise ValidationError(f"focal_gamma must be >= 0, got {self.focal_gamma}")
 
 
 @dataclass(frozen=True)
@@ -119,21 +116,16 @@ class ActionModuleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_field_types(self)
-        _check_sizes(self)
+        _check_fit_fields(self)
         if self.action_head not in ACTION_HEADS:
             raise ValidationError(
                 f"action_head must be one of {ACTION_HEADS}, got {self.action_head!r}"
             )
-        self.schedule()
 
-    def schedule(self) -> nn.LrSchedule:
-        return nn.LrSchedule(
-            base_lr=self.base_lr,
-            period_epochs=self.lr_period_epochs,
-            total_epochs=self.epochs,
-            decay_factor=self.lr_decay_factor,
-        )
+
+def lr_at(config: ContactModuleConfig | ActionModuleConfig, epoch: int) -> float:
+    """Step decay: ``base_lr`` times ``lr_decay_factor`` per ``lr_period_epochs`` epochs."""
+    return config.base_lr * config.lr_decay_factor ** (epoch // config.lr_period_epochs)
 
 
 @dataclass
@@ -210,22 +202,21 @@ def _fit(
     """
     net = "contact network f" if isinstance(config, ContactModuleConfig) else "action network g"
     adam = nn.init_adam(model)
-    grads = nn.Gradients.empty_like(model)
-    schedule = config.schedule()
+    grads = np.empty_like(model.params)
     rng = np.random.default_rng(config.seed)
     n = len(X)
     history: list[float] = []
     for epoch in range(config.epochs):
-        lr = nn.lr_at(schedule, epoch)
+        lr = lr_at(config, epoch)
         perm = rng.permutation(n)
         total = 0.0
         for step, start in enumerate(range(0, n, config.batch_size)):
             batch = perm[start:start + config.batch_size]
             try:
-                out, cache = nn.forward(model, X[batch])
+                out, acts = nn.forward(model, X[batch])
                 loss, grad = loss_fn(out, targets[batch])
-                nn.backward(model, cache, grad, grads)
-                del out, cache, grad
+                nn.backward(model, acts, grad, grads)
+                del out, acts, grad
                 nn.adam_step(model, grads, adam, lr)
             except NumericError as exc:
                 raise NumericError(
@@ -259,7 +250,8 @@ def train_contact_module(
             f"targets have width {Y.shape[1]}, config expects {data_config.contact_dim}"
         )
     model = nn.init_model(dims, seed=config.seed)
-    history = _fit(model, X, Y, partial(nn.focal_loss, params=config.focal()), config)
+    history = _fit(model, X, Y, partial(nn.focal_loss, alpha=config.focal_alpha,
+                                       gamma=config.focal_gamma), config)
     return TrainedContactModule(model=model, config=config), history
 
 
@@ -270,8 +262,8 @@ def predict_contact(module: TrainedContactModule, frame_vec: np.ndarray) -> np.n
         raise ShapeError(
             f"frame vector has shape {v.shape}, module expects ({module.model.input_dim},)"
         )
-    out, _ = nn.forward(module.model, v)
-    return out
+    out, _ = nn.forward(module.model, v[None])
+    return out[0]
 
 
 def clip_features(
@@ -367,8 +359,8 @@ def predict_action(
             f"clip features have width {x.shape[0]}, action model expects "
             f"{action.model.input_dim}"
         )
-    out, _ = nn.forward(action.model, x)
-    return int(np.argmax(out)), out
+    out, _ = nn.forward(action.model, x[None])
+    return int(np.argmax(out[0])), out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +465,7 @@ def _read_checkpoint(fh, path) -> nn.MlpModel:
                     raise CheckpointError(f"{path}: truncated checkpoint while reading parameters")
                 flat[start:start + chunk.size] = chunk
     try:
-        return nn.MlpModel.from_params(params, dims, [act for _, _, act in headers])
+        return nn.MlpModel(params, dims, [act for _, _, act in headers])
     except ValidationError as exc:
         raise CheckpointError(f"{path}: inconsistent checkpoint: {exc}") from exc
 

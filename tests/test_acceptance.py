@@ -31,6 +31,7 @@ from casar.pipeline import (
     TrainedContactModule,
     clip_features,
     load_checkpoint,
+    lr_at,
     predict_action,
     predict_contact,
     save_checkpoint,
@@ -85,53 +86,42 @@ def test_c1_geometry_oracle_equivalence(capfd):
 
 
 def _numeric_gradients(model, X, loss_of_output, eps=1e-5):
-    grads_w = [np.zeros_like(W) for W in model.weights]
-    grads_b = [np.zeros_like(b) for b in model.biases]
+    grads = np.zeros_like(model.params)
 
     def loss_now():
         out, _ = nn.forward(model, X)
         return loss_of_output(out)
 
-    for arrays, grads in ((model.weights, grads_w), (model.biases, grads_b)):
-        for A, G in zip(arrays, grads):
-            flat, gflat = A.ravel(), G.ravel()
-            for i in range(flat.size):
-                saved = flat[i]
-                flat[i] = saved + eps
-                hi = loss_now()
-                flat[i] = saved - eps
-                lo = loss_now()
-                flat[i] = saved
-                gflat[i] = (hi - lo) / (2.0 * eps)
-    return grads_w, grads_b
+    flat = model.params  # every weight and bias is a view of it
+    for i in range(flat.size):
+        saved = flat[i]
+        flat[i] = saved + eps
+        hi = loss_now()
+        flat[i] = saved - eps
+        lo = loss_now()
+        flat[i] = saved
+        grads[i] = (hi - lo) / (2.0 * eps)
+    return grads
 
 
 def _max_rel_err(model, X, loss_fn) -> float:
-    out, cache = nn.forward(model, X)
+    out, acts = nn.forward(model, X)
     _, grad_out = loss_fn(out)
-    analytic = nn.backward(model, cache, grad_out, nn.Gradients.empty_like(model))
-    num_w, num_b = _numeric_gradients(model, X, lambda o: loss_fn(o)[0])
-    worst = 0.0
-    for a_list, n_list in (
-        (analytic.weights, num_w),
-        (analytic.biases, num_b),
-    ):
-        for A, N in zip(a_list, n_list):
-            denom = np.maximum(1e-6, np.maximum(np.abs(A), np.abs(N)))
-            worst = max(worst, float((np.abs(A - N) / denom).max()))
-    return worst
+    analytic = nn.backward(model, acts, grad_out, np.empty_like(model.params))
+    numeric = _numeric_gradients(model, X, lambda o: loss_fn(o)[0])
+    denom = np.maximum(1e-6, np.maximum(np.abs(analytic), np.abs(numeric)))
+    return float((np.abs(analytic - numeric) / denom).max())
 
 
 def test_c2_gradient_checks(capfd):
     t0 = time.time()
     rng = np.random.default_rng(7)
-    focal = nn.FocalParams(alpha=0.5, gamma=4.0)
     worst = 0.0
     for draw in range(20):
         model = nn.init_model([5, 4, 3], seed=1000 + draw)
         X = rng.normal(size=(6, 5))
         Y = rng.integers(0, 2, size=(6, 3)).astype(np.float64)
-        worst = max(worst, _max_rel_err(model, X, lambda o: nn.focal_loss(o, Y, focal)))
+        worst = max(worst, _max_rel_err(model, X, lambda o: nn.focal_loss(o, Y, 0.5, 4.0)))
     for draw in range(20):
         model = nn.init_model([6, 4, 3], seed=2000 + draw)
         X = rng.normal(size=(6, 6))
@@ -148,21 +138,19 @@ def test_c2_gradient_checks(capfd):
 
 
 def test_c3_scalar_values(capfd):
-    loss, _ = nn.focal_loss(
-        np.array([[0.5]]), np.array([[1.0]]), nn.FocalParams(alpha=0.5, gamma=4.0)
-    )
+    loss, _ = nn.focal_loss(np.array([[0.5]]), np.array([[1.0]]), alpha=0.5, gamma=4.0)
     focal_ok = abs(loss - 0.5 * 0.0625 * math.log(2.0)) <= 1e-9
-    f_schedule = nn.LrSchedule(
-        base_lr=1e-4, period_epochs=20, total_epochs=100, decay_factor=0.7
+    f_config = ContactModuleConfig(
+        base_lr=1e-4, lr_period_epochs=20, epochs=100, lr_decay_factor=0.7
     )
     lr_ok = (
-        nn.lr_at(f_schedule, 0) == 1e-4
-        and nn.lr_at(f_schedule, 19) == 1e-4
-        and nn.lr_at(f_schedule, 20) == 7e-5
-        and nn.lr_at(f_schedule, 40) == 1e-4 * 0.7 ** 2
+        lr_at(f_config, 0) == 1e-4
+        and lr_at(f_config, 19) == 1e-4
+        and lr_at(f_config, 20) == 7e-5
+        and lr_at(f_config, 40) == 1e-4 * 0.7 ** 2
     )
     ok = focal_ok and lr_ok
-    _report(capfd, "C3", ok, f"focal {loss:.9f}, lr(20) {nn.lr_at(f_schedule, 20):.1e}")
+    _report(capfd, "C3", ok, f"focal {loss:.9f}, lr(20) {lr_at(f_config, 20):.1e}")
     assert ok
 
 
@@ -267,8 +255,8 @@ def test_c5_pipeline_contracts(capfd, tiny_synth, tiny_config, tmp_path):
     save_checkpoint(g1.model, ckpt)
     loaded = load_checkpoint(ckpt)
     x = clip_features(clips[0], f1, g_cfg, tiny_config)
-    orig, _ = nn.forward(g1.model, x)
-    back, _ = nn.forward(loaded, x)
+    orig, _ = nn.forward(g1.model, x[None])
+    back, _ = nn.forward(loaded, x[None])
     round_trip_err = float(np.abs(orig - back).max())
     ckpt_ok = round_trip_err <= 1e-6
 

@@ -271,6 +271,27 @@ def test_ablation_trains_f_from_the_config_file_only(workspace, tmp_path, monkey
     assert seen["g"] == ActionModuleConfig(**{**SMALL_CFG["action"], **flags})
 
 
+def test_ablation_reads_the_contact_checkpoints_dataset(workspace, tmp_path, monkeypatch):
+    """Without --config, the dataset comes from f's sidecar, as for train-action."""
+    seen = {}
+
+    def fake_ablation(train_clips, test_clips, contact, config, dc):
+        seen["dc"] = dc
+        return []
+
+    monkeypatch.setattr(casar.cli, "run_ablation", fake_ablation)
+    rc = main([
+        "ablation",
+        "--data", str(workspace / "data"),
+        "--contact-ckpt", str(workspace / "f.ckpt"),
+        "--report", str(tmp_path / "ablation"),
+    ])
+    assert rc == 0
+    assert seen["dc"].action_class_count == SMALL_CFG["dataset"]["action_class_count"]
+    manifest = json.loads((tmp_path / "ablation" / "manifest.json").read_text())
+    assert manifest["config"]["dataset"] == load_checkpoint_meta(workspace / "f.ckpt")["dataset"]
+
+
 # ---------------------------------------------------------------------------
 # error paths
 
@@ -388,12 +409,19 @@ MISTYPED_INPUTS = {
     "config-epochs-float": ("config", {"contact": {"epochs": 2.5}}, "epochs"),
     "config-seed-negative": ("config", {"contact": {"seed": -1}}, "seed"),
     "config-base-lr-string": ("config", {"contact": {"base_lr": "x"}}, "base_lr"),
+    "config-base-lr-nan": ("config", {"contact": {"base_lr": float("nan")}}, "base_lr"),
+    "config-focal-gamma-infinity": (
+        "config", {"contact": {"focal_gamma": float("inf")}}, "focal_gamma"),
     "config-eta-c-string": ("config", {"thresholds": {"eta_c": "0.01"}}, "eta_c"),
+    "config-eta-d-too-large": ("config", {"thresholds": {"eta_d": 10**400}}, "eta_d"),
     "config-section-not-object": ("config", {"contact": 3}, "contact"),
     "config-frames-per-clip-float": (
         "config", {"dataset": {"frames_per_clip": 2.5}}, "frames_per_clip"),
     "flag-synth-seed-negative": ("synth", ["--seed", "-1"], "seed"),
     "flag-train-contact-seed-negative": ("train-contact", ["--seed", "-1"], "seed"),
+    "flag-synth-noise-nan": ("synth", ["--noise", "nan"], "noise_sigma"),
+    "flag-train-contact-lr-nan": ("train-contact", ["--lr", "nan"], "base_lr"),
+    "flag-train-contact-lr-inf": ("train-contact", ["--lr", "inf"], "base_lr"),
     "sidecar-hidden-width-string": (
         "sidecar", _sidecar_edit(lambda m: m["config"].update(hidden_width="x")), "hidden_width"),
     "sidecar-unknown-threshold": (
@@ -456,6 +484,23 @@ def test_sidecar_from_an_older_version_is_accepted(workspace, tmp_path, capsys):
     ])
     assert rc == 0
     assert len(capsys.readouterr().out.strip().splitlines()) == 12
+
+
+def test_diverging_run_prints_one_stderr_line(workspace, tmp_path):
+    """Numpy's overflow warnings stay quiet; the NumericError line reports the divergence.
+
+    Run in a subprocess: pytest would capture the warnings in process.
+    """
+    proc = subprocess.run(
+        [sys.executable, "-m", "casar.cli", "train-contact",
+         "--data", str(workspace / "data"), "--config", str(workspace / "config.json"),
+         "--lr", "1e300", "--out", str(tmp_path / "f.ckpt")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 4
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, lines
+    assert json.loads(lines[0])["error"] == "NumericError"
 
 
 def test_unknown_command_exits_2(capsys):

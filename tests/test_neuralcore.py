@@ -1,4 +1,8 @@
-"""From-scratch MLP: forward/backward against finite differences, losses, Adam, schedule."""
+"""From-scratch MLP: forward/backward against finite differences, losses, Adam.
+
+The step-decay schedule and the focal terms are fields of the module
+configs; their formula and bounds are checked here too.
+"""
 
 import math
 
@@ -13,9 +17,6 @@ from casar.neuralcore import (
     RELU,
     SIGMOID,
     AdamState,
-    FocalParams,
-    Gradients,
-    LrSchedule,
     MlpModel,
     _sigmoid,
     action_loss,
@@ -27,11 +28,17 @@ from casar.neuralcore import (
     init_adam,
     init_model,
     layer_views,
-    lr_at,
     parameter_count,
     softmax,
     softmax_action_loss,
 )
+from casar.pipeline import ActionModuleConfig, ContactModuleConfig, lr_at
+
+
+def _model(weights, biases, activations) -> MlpModel:
+    """A model over the given per-layer arrays, packed into one flat vector."""
+    params = np.concatenate([np.ravel(a) for a in (*weights, *biases)]).astype(np.float64)
+    return MlpModel(params, [weights[0].shape[1]] + [W.shape[0] for W in weights], activations)
 
 
 # ---------------------------------------------------------------------------
@@ -39,50 +46,41 @@ from casar.neuralcore import (
 
 
 def numeric_gradients(model, inputs, loss_of_output, eps=1e-5):
-    """Central differences through the whole forward pass, one scalar at a time."""
-    grads_w = [np.zeros_like(W) for W in model.weights]
-    grads_b = [np.zeros_like(b) for b in model.biases]
+    """Central differences through the whole forward pass, one parameter at a time."""
+    grads = np.zeros_like(model.params)
 
     def loss_now():
         out, _ = forward(model, inputs)
         return loss_of_output(out)
 
-    for arrays, grads in ((model.weights, grads_w), (model.biases, grads_b)):
-        for A, G in zip(arrays, grads):
-            flat, gflat = A.ravel(), G.ravel()
-            for i in range(flat.size):
-                saved = flat[i]
-                flat[i] = saved + eps
-                hi = loss_now()
-                flat[i] = saved - eps
-                lo = loss_now()
-                flat[i] = saved
-                gflat[i] = (hi - lo) / (2.0 * eps)
-    return Gradients(weights=grads_w, biases=grads_b)
+    flat = model.params  # every weight and bias is a view of it
+    for i in range(flat.size):
+        saved = flat[i]
+        flat[i] = saved + eps
+        hi = loss_now()
+        flat[i] = saved - eps
+        lo = loss_now()
+        flat[i] = saved
+        grads[i] = (hi - lo) / (2.0 * eps)
+    return grads
 
 
-def assert_grads_close(analytic: Gradients, numeric: Gradients, tol=1e-4):
-    for a_list, n_list in (
-        (analytic.weights, numeric.weights),
-        (analytic.biases, numeric.biases),
-    ):
-        for A, N in zip(a_list, n_list):
-            denom = np.maximum(1e-6, np.maximum(np.abs(A), np.abs(N)))
-            rel = np.abs(A - N) / denom
-            assert rel.max() <= tol, f"relative gradient error {rel.max():.2e}"
+def assert_grads_close(analytic, numeric, tol=1e-4):
+    denom = np.maximum(1e-6, np.maximum(np.abs(analytic), np.abs(numeric)))
+    rel = np.abs(analytic - numeric) / denom
+    assert rel.max() <= tol, f"relative gradient error {rel.max():.2e}"
 
 
 def test_backward_matches_finite_differences_focal():
     rng = np.random.default_rng(11)
-    params = FocalParams(alpha=0.5, gamma=4.0)
     for draw in range(3):
         model = init_model([5, 4, 3], seed=100 + draw)
         X = rng.normal(size=(8, 5))
         Y = rng.integers(0, 2, size=(8, 3)).astype(np.float64)
-        out, cache = forward(model, X)
-        _, grad_out = focal_loss(out, Y, params)
-        analytic = backward(model, cache, grad_out, Gradients.empty_like(model))
-        numeric = numeric_gradients(model, X, lambda o: focal_loss(o, Y, params)[0])
+        out, acts = forward(model, X)
+        _, grad_out = focal_loss(out, Y, 0.5, 4.0)
+        analytic = backward(model, acts, grad_out, np.empty_like(model.params))
+        numeric = numeric_gradients(model, X, lambda o: focal_loss(o, Y, 0.5, 4.0)[0])
         assert_grads_close(analytic, numeric)
 
 
@@ -92,17 +90,17 @@ def test_backward_matches_finite_differences_action_heads():
     X = rng.normal(size=(8, 6))
     for draw in range(3):
         sig = init_model([6, 4, 3], seed=200 + draw, output_activation=SIGMOID)
-        out, cache = forward(sig, X)
+        out, acts = forward(sig, X)
         _, grad_out = action_loss(out, labels)
         assert_grads_close(
-            backward(sig, cache, grad_out, Gradients.empty_like(sig)),
+            backward(sig, acts, grad_out, np.empty_like(sig.params)),
             numeric_gradients(sig, X, lambda o: action_loss(o, labels)[0]),
         )
         lin = init_model([6, 4, 3], seed=300 + draw, output_activation=IDENTITY)
-        out, cache = forward(lin, X)
+        out, acts = forward(lin, X)
         _, grad_out = softmax_action_loss(out, labels)
         assert_grads_close(
-            backward(lin, cache, grad_out, Gradients.empty_like(lin)),
+            backward(lin, acts, grad_out, np.empty_like(lin.params)),
             numeric_gradients(lin, X, lambda o: softmax_action_loss(o, labels)[0]),
         )
 
@@ -112,7 +110,7 @@ def test_backward_matches_finite_differences_action_heads():
 
 
 def test_focal_frozen_scalar():
-    loss, _ = focal_loss(np.array([[0.5]]), np.array([[1.0]]), FocalParams(0.5, 4.0))
+    loss, _ = focal_loss(np.array([[0.5]]), np.array([[1.0]]), 0.5, 4.0)
     assert loss == pytest.approx(0.5 * 0.0625 * math.log(2.0), abs=1e-12)
 
 
@@ -120,7 +118,7 @@ def test_focal_gamma_zero_is_balanced_cross_entropy():
     rng = np.random.default_rng(5)
     p = rng.uniform(0.05, 0.95, size=(6, 7))
     q = rng.integers(0, 2, size=(6, 7)).astype(np.float64)
-    loss, grad = focal_loss(p, q, FocalParams(alpha=0.5, gamma=0.0))
+    loss, grad = focal_loss(p, q, alpha=0.5, gamma=0.0)
     bce = -(0.5 * q * np.log(p) + 0.5 * (1 - q) * np.log(1 - p))
     bce_grad = -(0.5 * q / p - 0.5 * (1 - q) / (1 - p)) / p.size
     assert abs(loss - bce.mean()) <= 1e-12
@@ -130,7 +128,7 @@ def test_focal_gamma_zero_is_balanced_cross_entropy():
 def test_focal_is_finite_at_saturated_predictions():
     p = np.array([[0.0, 1.0]])
     q = np.array([[1.0, 0.0]])
-    loss, grad = focal_loss(p, q, FocalParams(0.5, 4.0))
+    loss, grad = focal_loss(p, q, 0.5, 4.0)
     assert np.isfinite(loss) and np.isfinite(grad).all()
 
 
@@ -138,23 +136,22 @@ def test_focal_batch_mean_weighting():
     rng = np.random.default_rng(8)
     p = rng.uniform(0.1, 0.9, size=(5, 4))
     q = rng.integers(0, 2, size=(5, 4)).astype(np.float64)
-    params = FocalParams(0.5, 4.0)
-    whole, _ = focal_loss(p, q, params)
-    head, _ = focal_loss(p[:2], q[:2], params)
-    tail, _ = focal_loss(p[2:], q[2:], params)
+    whole, _ = focal_loss(p, q, 0.5, 4.0)
+    head, _ = focal_loss(p[:2], q[:2], 0.5, 4.0)
+    tail, _ = focal_loss(p[2:], q[2:], 0.5, 4.0)
     assert abs(whole - (2 * head + 3 * tail) / 5) <= 1e-12
 
 
 def test_focal_params_validated():
-    with pytest.raises(ValidationError):
-        FocalParams(alpha=0.0, gamma=4.0)
-    with pytest.raises(ValidationError):
-        FocalParams(alpha=0.5, gamma=-1.0)
+    for bad in ({"focal_alpha": 0.0}, {"focal_alpha": 1.0}, {"focal_gamma": -1.0}):
+        with pytest.raises(ValidationError, match=next(iter(bad))):
+            ContactModuleConfig(**bad)
+    ContactModuleConfig(focal_alpha=0.25, focal_gamma=0.0)
 
 
 def test_focal_shape_mismatch():
     with pytest.raises(ShapeError):
-        focal_loss(np.zeros((2, 3)), np.zeros((3, 2)), FocalParams())
+        focal_loss(np.zeros((2, 3)), np.zeros((3, 2)), 0.5, 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -167,15 +164,6 @@ def test_action_loss_picks_the_labeled_output():
     assert loss == pytest.approx(-math.log(0.7), abs=1e-12)
     assert grad[0, 0] == 0.0 and grad[0, 2] == 0.0
     assert grad[0, 1] == pytest.approx(-1.0 / 0.7, abs=1e-12)
-
-
-def test_action_loss_single_vector_matches_batch_of_one():
-    pred = np.array([0.2, 0.7, 0.1])
-    l1, g1 = action_loss(pred, 1)
-    l2, g2 = action_loss(pred[None, :], [1])
-    assert l1 == l2
-    np.testing.assert_array_equal(g1, g2[0])
-    assert g1.shape == (3,)
 
 
 def test_action_loss_clamps_zero_probability():
@@ -240,13 +228,17 @@ def test_init_model_validation():
 
 
 def test_model_rejects_inconsistent_layers():
-    w = [np.zeros((4, 5)), np.zeros((3, 99))]
-    b = [np.zeros(4), np.zeros(3)]
+    n = parameter_count([5, 4, 3])
+    with pytest.raises(ShapeError):
+        MlpModel(np.zeros(n + 1), [5, 4, 3], [RELU, SIGMOID])
+    with pytest.raises(ShapeError):
+        MlpModel(np.zeros(n, dtype=np.float32), [5, 4, 3], [RELU, SIGMOID])
     with pytest.raises(ValidationError):
-        MlpModel(weights=w, biases=b, activations=[RELU, SIGMOID])
-    bad = [np.full((4, 5), np.nan), np.zeros((3, 4))]
+        MlpModel(np.zeros(n), [5, 4, 3], [RELU])
     with pytest.raises(ValidationError):
-        MlpModel(weights=bad, biases=b, activations=[RELU, SIGMOID])
+        MlpModel(np.zeros(n), [5, 4, 3], [RELU, "tanh"])
+    with pytest.raises(ValidationError):
+        MlpModel(np.full(n, np.nan), [5, 4, 3], [RELU, SIGMOID])
 
 
 def test_weights_and_biases_are_views_of_one_flat_vector():
@@ -258,28 +250,25 @@ def test_weights_and_biases_are_views_of_one_flat_vector():
         [W.tobytes() for W in model.weights] + [b.tobytes() for b in model.biases])
     model.params[-1] = 2.5  # the last bias of the last layer
     assert model.biases[-1][-1] == 2.5
-    # built from lists, the model copies them into its own vector
-    w, b = [np.ones((2, 3)), np.zeros((1, 2))], [np.zeros(2), np.full(1, 4.0)]
-    packed = MlpModel(weights=w, biases=b, activations=[RELU, SIGMOID])
-    np.testing.assert_array_equal(packed.params, [1.0] * 6 + [0.0] * 4 + [4.0])
-    assert not np.shares_memory(packed.weights[0], w[0])
+    # the constructor wraps the vector it is given, without a copy
+    assert MlpModel(model.params, [7, 5, 3], [RELU, SIGMOID]).params is model.params
     # backward writes every layer into the views of one gradient vector
-    _, cache = forward(model, np.ones((2, 7)))
-    grads = Gradients.empty_like(model)
-    assert backward(model, cache, np.ones((2, 3)), grads) is grads
-    assert grads.params.shape == model.params.shape
-    for a in grads.weights + grads.biases:
-        assert a.base is grads.params
+    _, acts = forward(model, np.ones((2, 7)))
+    grads = np.full_like(model.params, np.nan)
+    assert backward(model, acts, np.ones((2, 3)), grads) is grads
+    assert np.isfinite(grads).all()  # every layer's views were written
 
 
-def test_forward_single_vector_matches_batch_row():
+def test_forward_rejects_a_single_vector():
     model = init_model([6, 4, 2], seed=1)
     x = np.linspace(-1, 1, 6)
-    single, _ = forward(model, x)
-    batched, _ = forward(model, np.stack([x, x * 2]))
-    assert single.shape == (2,)
-    # batched matmul may reassociate sums, so allow ulp-level slack
-    np.testing.assert_allclose(single, batched[0], rtol=1e-12, atol=1e-15)
+    with pytest.raises(ShapeError, match="batch"):
+        forward(model, x)
+    with pytest.raises(ShapeError, match="batch"):
+        forward(model, np.ones((2, 5)))
+    out, acts = forward(model, x[None])
+    assert out.shape == (1, 2)
+    assert [a.shape for a in acts] == [(1, 6), (1, 4), (1, 2)] and acts[-1] is out
 
 
 def test_forward_rows_are_independent():
@@ -288,53 +277,44 @@ def test_forward_rows_are_independent():
     X = rng.normal(size=(7, 5))
     full, _ = forward(model, X)
     for i in range(7):
-        row, _ = forward(model, X[i])
-        np.testing.assert_allclose(full[i], row, rtol=1e-12, atol=1e-15)
+        row, _ = forward(model, X[i:i + 1])
+        # batched matmul may reassociate sums, so allow ulp-level slack
+        np.testing.assert_allclose(full[i], row[0], rtol=1e-12, atol=1e-15)
 
 
 def test_forward_is_pure():
     model = init_model([4, 3, 2], seed=0)
-    x = np.ones(4)
+    x = np.ones((1, 4))
     a, _ = forward(model, x)
     b, _ = forward(model, x)
     np.testing.assert_array_equal(a, b)
 
 
 def test_forward_flags_non_finite_results():
-    model = MlpModel(
-        weights=[np.array([[1e200]]), np.array([[1e200]])],
-        biases=[np.zeros(1), np.zeros(1)],
-        activations=[IDENTITY, IDENTITY],
-    )
+    model = _model([np.array([[1e200]]), np.array([[1e200]])], [np.zeros(1), np.zeros(1)],
+                   [IDENTITY, IDENTITY])
     with np.errstate(over="ignore"), pytest.raises(NumericError):
-        forward(model, np.array([1e200]))
+        forward(model, np.array([[1e200]]))
 
 
 def test_sigmoid_is_stable_at_extreme_preactivations():
-    model = MlpModel(
-        weights=[np.array([[1.0]])],
-        biases=[np.zeros(1)],
-        activations=[SIGMOID],
-    )
-    lo, _ = forward(model, np.array([-1e4]))
-    hi, _ = forward(model, np.array([1e4]))
-    assert 0.0 <= lo[0] < 1e-300 or lo[0] == 0.0
-    assert hi[0] == 1.0
+    model = _model([np.array([[1.0]])], [np.zeros(1)], [SIGMOID])
+    lo, _ = forward(model, np.array([[-1e4]]))
+    hi, _ = forward(model, np.array([[1e4]]))
+    assert 0.0 <= lo[0, 0] < 1e-300 or lo[0, 0] == 0.0
+    assert hi[0, 0] == 1.0
 
 
 def test_relu_derivative_is_zero_at_zero():
-    model = MlpModel(
-        weights=[np.array([[1.0]]), np.array([[1.0]])],
-        biases=[np.zeros(1), np.zeros(1)],
-        activations=[RELU, IDENTITY],
-    )
-    out, cache = forward(model, np.array([[0.0]]))
+    model = _model([np.array([[1.0]]), np.array([[1.0]])], [np.zeros(1), np.zeros(1)],
+                   [RELU, IDENTITY])
+    out, acts = forward(model, np.array([[0.0]]))
     assert out[0, 0] == 0.0
-    grads = backward(model, cache, np.array([[1.0]]), Gradients.empty_like(model))
-    assert grads.weights[0][0, 0] == 0.0  # no gradient flows through relu(0)
-    out, cache = forward(model, np.array([[2.0]]))
-    grads = backward(model, cache, np.array([[1.0]]), Gradients.empty_like(model))
-    assert grads.weights[0][0, 0] == 2.0  # active side: d/dw (w * x) = x
+    grads = backward(model, acts, np.array([[1.0]]), np.empty_like(model.params))
+    assert grads[0] == 0.0  # first layer's weight: no gradient flows through relu(0)
+    out, acts = forward(model, np.array([[2.0]]))
+    grads = backward(model, acts, np.array([[1.0]]), np.empty_like(model.params))
+    assert grads[0] == 2.0  # active side: d/dw (w * x) = x
 
 
 def _masked_sigmoid(z):
@@ -360,13 +340,12 @@ def test_backward_overwrites_the_vector_it_is_given():
     model = init_model([6, 5, 4, 3], seed=4)
     rng = np.random.default_rng(5)
     X, G = rng.normal(size=(9, 6)), rng.normal(size=(9, 3))
-    _, cache = forward(model, X)
-    fresh = backward(model, cache, G, Gradients.empty_like(model))
-    stale = Gradients.empty_like(model)
-    stale.params[:] = np.nan
-    assert backward(model, cache, G, stale).params.tobytes() == fresh.params.tobytes()
+    _, acts = forward(model, X)
+    fresh = backward(model, acts, G, np.empty_like(model.params))
+    stale = np.full_like(model.params, np.nan)
+    assert backward(model, acts, G, stale).tobytes() == fresh.tobytes()
     with pytest.raises(ShapeError, match="gradient layout"):
-        backward(model, cache, G, Gradients.empty_like(init_model([6, 4, 4, 3], seed=4)))
+        backward(model, acts, G, np.empty_like(init_model([6, 4, 4, 3], seed=4).params))
 
 
 def test_clamp_probs_bounds():
@@ -381,33 +360,23 @@ def test_clamp_probs_bounds():
 
 
 def _single_weight_model(w0: float) -> MlpModel:
-    return MlpModel(
-        weights=[np.array([[w0]])],
-        biases=[np.zeros(1)],
-        activations=[IDENTITY],
-    )
+    return MlpModel(np.array([w0, 0.0]), [1, 1], [IDENTITY])
 
 
 def test_adam_first_step_has_learning_rate_magnitude():
     model = init_model([3, 2], seed=0, output_activation=IDENTITY)
     before = [W.copy() for W in model.weights]
-    grads = Gradients(
-        weights=[np.array([[0.5, -2.0, 10.0], [-0.01, 1.0, -1.0]])],
-        biases=[np.array([3.0, -3.0])],
-    )
+    grad_w = np.array([[0.5, -2.0, 10.0], [-0.01, 1.0, -1.0]])
+    grads = np.concatenate([grad_w.ravel(), [3.0, -3.0]])
     adam_step(model, grads, init_adam(model), lr=0.01)
     delta = model.weights[0] - before[0]
-    np.testing.assert_allclose(delta, -0.01 * np.sign(grads.weights[0]), rtol=1e-6)
+    np.testing.assert_allclose(delta, -0.01 * np.sign(grad_w), rtol=1e-6)
 
 
 def test_adam_zero_gradient_moves_nothing():
     model = init_model([3, 2], seed=1)
     before = [W.copy() for W in model.weights]
-    zero = Gradients(
-        weights=[np.zeros_like(W) for W in model.weights],
-        biases=[np.zeros_like(b) for b in model.biases],
-    )
-    adam_step(model, zero, init_adam(model), lr=0.1)
+    adam_step(model, np.zeros_like(model.params), init_adam(model), lr=0.1)
     for W, W0 in zip(model.weights, before):
         np.testing.assert_array_equal(W, W0)
 
@@ -417,8 +386,7 @@ def test_adam_minimizes_a_quadratic():
     state = init_adam(model)
     for _ in range(200):
         w = model.weights[0][0, 0]
-        grads = Gradients(weights=[np.array([[2.0 * w]])], biases=[np.zeros(1)])
-        adam_step(model, grads, state, lr=0.1)
+        adam_step(model, np.array([2.0 * w, 0.0]), state, lr=0.1)
     assert abs(model.weights[0][0, 0]) < 0.05
 
 
@@ -428,8 +396,7 @@ def test_adam_updates_are_deterministic_and_stateful():
         model = _single_weight_model(0.3)
         state = init_adam(model)
         for step in range(5):
-            grads = Gradients(weights=[np.array([[1.0]])], biases=[np.zeros(1)])
-            adam_step(model, grads, state, lr=0.05)
+            adam_step(model, np.array([1.0, 0.0]), state, lr=0.05)
         runs.append(model.weights[0][0, 0])
     assert runs[0] == runs[1]
     assert isinstance(state, AdamState) and state.t == 5
@@ -448,7 +415,7 @@ def test_adam_step_matches_the_unblocked_update_bit_for_bit():
     for t, lr in enumerate((1e-3, 5e-4, 2e-3, 1e-4), start=1):
         flat = rng.normal(scale=rng.uniform(0.01, 10.0), size=n)
         gw, gb = layer_views(flat, [W.shape for W in model.weights])
-        adam_step(model, Gradients(weights=gw, biases=gb), state, lr)
+        adam_step(model, flat, state, lr)
         corr1, corr2 = 1.0 - 0.9**t, 1.0 - 0.999**t
         for p, g, m, v in zip(ref_p, gw + gb, ref_m, ref_v):
             m *= 0.9
@@ -462,12 +429,10 @@ def test_adam_step_matches_the_unblocked_update_bit_for_bit():
 
 def test_adam_validation():
     model = _single_weight_model(0.0)
-    grads = Gradients(weights=[np.zeros((1, 1))], biases=[np.zeros(1)])
     with pytest.raises(ValidationError):
-        adam_step(model, grads, init_adam(model), lr=0.0)
-    short = Gradients(weights=[], biases=[])
+        adam_step(model, np.zeros(2), init_adam(model), lr=0.0)
     with pytest.raises(ShapeError):
-        adam_step(model, short, init_adam(model), lr=0.1)
+        adam_step(model, np.zeros(0), init_adam(model), lr=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -475,29 +440,21 @@ def test_adam_validation():
 
 
 def test_lr_schedule_frozen_values():
-    f = LrSchedule(base_lr=1e-4, period_epochs=20, total_epochs=100, decay_factor=0.7)
+    f = ContactModuleConfig(base_lr=1e-4, lr_period_epochs=20, epochs=100, lr_decay_factor=0.7)
     assert lr_at(f, 0) == 1e-4
     assert lr_at(f, 19) == 1e-4
     assert lr_at(f, 20) == 7e-5
     assert lr_at(f, 40) == 4.9e-5
-    g = LrSchedule(base_lr=1e-5, period_epochs=200, total_epochs=600, decay_factor=0.7)
+    g = ActionModuleConfig(base_lr=1e-5, lr_period_epochs=200, epochs=600, lr_decay_factor=0.7)
     assert lr_at(g, 199) == 1e-5
     assert lr_at(g, 200) == 7e-6
     assert lr_at(g, 599) == 1e-5 * 0.7 ** 2
 
 
-def test_lr_epoch_range_is_enforced():
-    f = LrSchedule(base_lr=1e-4, period_epochs=20, total_epochs=100)
-    with pytest.raises(ValidationError):
-        lr_at(f, -1)
-    with pytest.raises(ValidationError):
-        lr_at(f, 100)
-
-
 def test_lr_schedule_validation():
-    with pytest.raises(ValidationError):
-        LrSchedule(base_lr=0.0, period_epochs=20, total_epochs=100)
-    with pytest.raises(ValidationError):
-        LrSchedule(base_lr=1e-4, period_epochs=0, total_epochs=100)
-    with pytest.raises(ValidationError):
-        LrSchedule(base_lr=1e-4, period_epochs=20, total_epochs=100, decay_factor=1.5)
+    for config_cls in (ContactModuleConfig, ActionModuleConfig):
+        for bad in ({"base_lr": 0.0}, {"lr_period_epochs": 0}, {"lr_decay_factor": 1.5},
+                    {"lr_decay_factor": 0.0}, {"epochs": 0}):
+            with pytest.raises(ValidationError, match=next(iter(bad))):
+                config_cls(**bad)
+        config_cls(lr_decay_factor=1.0, lr_period_epochs=1)

@@ -337,23 +337,25 @@ def test_memory_check_is_skipped_when_meminfo_is_unreadable(tmp_path, monkeypatc
 
 def test_fit_fills_one_gradient_vector(tiny_synth, tiny_config, monkeypatch):
     _, _, contacts = tiny_synth
-    built, filled = [], []
-    empty_like, backward = nn.Gradients.empty_like, nn.backward
+    filled, stepped = [], []
+    backward, adam_step = nn.backward, nn.adam_step
 
-    def counting_empty_like(model):
-        built.append(empty_like(model))
-        return built[-1]
-
-    def recording_backward(model, cache, grad_outputs, grads):
+    def recording_backward(model, acts, grad_outputs, grads):
         filled.append(grads)
-        return backward(model, cache, grad_outputs, grads)
+        return backward(model, acts, grad_outputs, grads)
 
-    monkeypatch.setattr(nn.Gradients, "empty_like", staticmethod(counting_empty_like))
+    def recording_adam_step(model, grads, state, lr):
+        stepped.append(grads)
+        return adam_step(model, grads, state, lr)
+
     monkeypatch.setattr(nn, "backward", recording_backward)
-    train_contact_module(contacts[:120], FAST_CONTACT, tiny_config)
+    monkeypatch.setattr(nn, "adam_step", recording_adam_step)
+    module, _ = train_contact_module(contacts[:120], FAST_CONTACT, tiny_config)
     steps = FAST_CONTACT.epochs * -(-120 // FAST_CONTACT.batch_size)
-    assert len(built) == 1
-    assert len(filled) == steps and all(g is built[0] for g in filled)
+    assert len(filled) == len(stepped) == steps
+    assert all(g is filled[0] for g in filled + stepped)
+    assert filled[0].shape == module.model.params.shape
+    assert not np.shares_memory(filled[0], module.model.params)
 
 
 def test_fit_peaks_at_the_training_bytes_per_parameter():
@@ -406,11 +408,8 @@ def test_train_action_rejects_out_of_range_labels(tiny_synth, tiny_config, train
 def test_predict_zeroed_model_breaks_ties_low(tiny_synth, tiny_config):
     clips, _, _ = tiny_synth
     C = tiny_config.action_class_count
-    model = nn.MlpModel(
-        weights=[np.zeros((C, tiny_config.clip_dim))],
-        biases=[np.zeros(C)],
-        activations=[nn.SIGMOID],
-    )
+    dims = [tiny_config.clip_dim, C]
+    model = nn.MlpModel(np.zeros(nn.parameter_count(dims)), dims, [nn.SIGMOID])
     stub = TrainedActionModule(
         model=model, config=ActionModuleConfig(augment_contact=False)
     )
@@ -440,7 +439,7 @@ def test_checkpoint_round_trip(tmp_path, trained_contact, tiny_config):
     loaded = load_checkpoint(path)
     assert loaded.layer_dims == module.model.layer_dims
     assert loaded.activations == module.model.activations
-    x = np.linspace(-1, 1, tiny_config.frame_dim)
+    x = np.linspace(-1, 1, tiny_config.frame_dim)[None]
     a, _ = nn.forward(module.model, x)
     b, _ = nn.forward(loaded, x)
     np.testing.assert_allclose(a, b, atol=1e-6)
