@@ -177,6 +177,15 @@ def test_action_loss_label_range():
         action_loss(np.ones((2, 3)) * 0.5, [0, 3])
 
 
+def test_action_loss_rejects_a_single_vector():
+    pred = np.array([0.2, 0.7, 0.1])
+    for loss_fn in (action_loss, softmax_action_loss):
+        with pytest.raises(ShapeError):
+            loss_fn(pred, 1)
+        loss, grad = loss_fn(pred[None, :], [1])
+        assert np.isfinite(loss) and grad.shape == (1, 3)
+
+
 def test_softmax_uniform_logits_give_log_class_count():
     for c in (2, 6, 36):
         loss, _ = softmax_action_loss(np.zeros((4, c)), np.zeros(4, dtype=int))
