@@ -172,15 +172,6 @@ class ContactSample:
     frame_index: int | None = None
 
 
-def one_hot(index: int, count: int) -> np.ndarray:
-    """Length-`count` vector with a single 1 at `index`."""
-    if not 0 <= index < count:
-        raise ValidationError(f"one-hot index {index} out of range [0, {count})")
-    vec = np.zeros(count)
-    vec[index] = 1.0
-    return vec
-
-
 def _check_frame(frame: FrameSample, config: DatasetConfig) -> None:
     J = config.joints_per_hand
     if config.hands == 2 and frame.hand.left is None:
@@ -205,15 +196,11 @@ def encode_frame(frame: FrameSample, config: DatasetConfig) -> np.ndarray:
     right hand; object points flatten in their fixed 21-point order.
     """
     _check_frame(frame, config)
-    parts = [
+    return np.concatenate([
         frame.hand.joints().ravel(),
         frame.object.pose_points.ravel(),
-        one_hot(frame.object.label_id, config.object_class_count),
-    ]
-    vec = np.concatenate(parts)
-    if len(vec) != config.frame_dim:
-        raise ShapeError(f"encoded frame has {len(vec)} dims, expected {config.frame_dim}")
-    return vec
+        np.eye(config.object_class_count)[frame.object.label_id],
+    ])
 
 
 def resample_indices(length: int, n_frames: int) -> np.ndarray:

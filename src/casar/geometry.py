@@ -26,6 +26,9 @@ BOX_EDGES: tuple[tuple[int, int], ...] = (
     (2, 6), (3, 7), (4, 5), (4, 6), (5, 7), (6, 7),
 )
 
+_CORNER_BITS = (np.arange(8)[:, None] >> np.arange(3)) & 1
+_EDGE_LOW, _EDGE_HIGH = np.array(BOX_EDGES).T
+
 _ORTHONORMAL_TOL = 1e-6
 _BOTTOM_ROW_TOL = 1e-9
 
@@ -40,16 +43,6 @@ def as_points(points, name: str = "points") -> np.ndarray:
     if not np.isfinite(pts).all():
         raise ValidationError(f"{name}: contains non-finite coordinates")
     return pts
-
-
-def as_point(point, name: str = "point") -> np.ndarray:
-    """Validate a single finite 3D point, returned as shape (3,)."""
-    p = np.asarray(point, dtype=np.float64)
-    if p.shape != (3,):
-        raise ShapeError(f"{name}: expected a 3-vector, got shape {p.shape}")
-    if not np.isfinite(p).all():
-        raise ValidationError(f"{name}: contains non-finite coordinates")
-    return p
 
 
 @dataclass(frozen=True)
@@ -113,20 +106,21 @@ class ContactMap:
     distant: np.ndarray
 
     def __post_init__(self):
-        contact = np.asarray(self.contact, dtype=np.uint8)
-        distant = np.asarray(self.distant, dtype=np.uint8)
+        contact, distant = np.asarray(self.contact), np.asarray(self.distant)
         if contact.ndim != 1 or contact.shape != distant.shape:
             raise ShapeError(
                 f"contact/distant must be equal-length vectors, got "
                 f"{contact.shape} and {distant.shape}"
             )
-        for name, vec in (("contact", contact), ("distant", distant)):
-            if not np.isin(vec, (0, 1)).all():
-                raise ValidationError(f"{name} entries must be 0 or 1")
-        if np.any(contact & distant):
+        # checked before the uint8 cast, which would turn 0.7 into 0 and 256 into 0
+        bits = np.stack([contact, distant])
+        if not ((bits == 0) | (bits == 1)).all():
+            raise ValidationError("contact and distant entries must be 0 or 1")
+        bits = bits.astype(np.uint8)
+        if (bits[0] & bits[1]).any():
             raise ValidationError("a joint cannot be both contact and distant")
-        object.__setattr__(self, "contact", contact)
-        object.__setattr__(self, "distant", distant)
+        object.__setattr__(self, "contact", bits[0])
+        object.__setattr__(self, "distant", bits[1])
 
     @property
     def joint_count(self) -> int:
@@ -139,10 +133,9 @@ class ContactMap:
 
 def build_vertex_index(vertices) -> SpatialIndex:
     """Build an exact nearest-neighbor index over a non-empty vertex set."""
-    verts = np.asarray(vertices, dtype=np.float64)
-    if verts.size == 0:
+    verts = as_points(vertices, "vertices")
+    if len(verts) == 0:
         raise ValidationError("cannot index an empty vertex set")
-    verts = as_points(verts, "vertices")
     # copy: the index must stay valid if the caller mutates its array
     return SpatialIndex(tree=cKDTree(verts.copy()))
 
@@ -191,7 +184,7 @@ def label_contact_map(joints, index: SpatialIndex, thresholds: ContactThresholds
     neither bit.  The index must already be built in the same frame as
     the joints.
     """
-    dists = index.query_distances(as_points(joints, "joints"))
+    dists = index.query_distances(joints)
     return ContactMap(
         contact=(dists < thresholds.eta_c).astype(np.uint8),
         distant=(dists > thresholds.eta_d).astype(np.uint8),
@@ -200,16 +193,9 @@ def label_contact_map(joints, index: SpatialIndex, thresholds: ContactThresholds
 
 def box_corners(low, high) -> np.ndarray:
     """The 8 corners of an axis-aligned box in canonical corner order."""
-    lo = as_point(low, "low")
-    hi = as_point(high, "high")
-    corners = np.empty((8, 3))
-    for i in range(8):
-        corners[i] = [
-            hi[0] if i & 1 else lo[0],
-            hi[1] if i & 2 else lo[1],
-            hi[2] if i & 4 else lo[2],
-        ]
-    return corners
+    bounds = as_points([low, high], "box bounds")  # a (2, 3) array: low row, high row
+    # corner i takes bounds[bit][axis], the bit of i that selects that axis
+    return bounds[_CORNER_BITS, np.arange(3)]
 
 
 def expand_bbox_21(corners) -> np.ndarray:
@@ -217,12 +203,12 @@ def expand_bbox_21(corners) -> np.ndarray:
 
     Output order: center, the 8 corners unchanged, then the 12 mid-edge
     points following ``BOX_EDGES``.  Corners must already be in canonical
-    corner order.
+    corner order.  Finiteness is checked where the points are kept, by
+    ``ObjectAnnotation``.
     """
     c = np.asarray(corners, dtype=np.float64)
     if c.shape != (8, 3):
         raise ShapeError(f"expected 8 corners of shape (8, 3), got {c.shape}")
-    c = as_points(c, "corners")
-    center = c.mean(axis=0)
-    mids = np.array([(c[a] + c[b]) * 0.5 for a, b in BOX_EDGES])
-    return np.vstack([center[None, :], c, mids])
+    with np.errstate(invalid="ignore"):  # inf + -inf is NaN, which the keeper refuses
+        mids = (c[_EDGE_LOW] + c[_EDGE_HIGH]) * 0.5
+        return np.vstack([c.mean(axis=0)[None, :], c, mids])

@@ -109,14 +109,17 @@ _NUMBER_TYPES = {int, float}  # what json.loads makes of a JSON number; bool is 
 
 
 def _matrix(raw, path, lineno, name, shape):
-    """A list of ``shape[0]`` rows of ``shape[1]`` JSON numbers, as float64."""
+    """A list of ``shape[0]`` rows of ``shape[1]`` JSON numbers, as float64.
+
+    NaN and the infinities are JSON numbers to Python's reader; the
+    constructors that keep the values refuse them.
+    """
     _require(isinstance(raw, list) and len(raw) == shape[0] and set(map(type, raw)) == {list},
              path, lineno, f"{name} must be a list of {shape[0]} rows of {shape[1]} numbers")
     _require(set(map(type, chain.from_iterable(raw))) <= _NUMBER_TYPES, path, lineno,
              f"{name} must hold only numbers")
     arr = np.asarray(raw, dtype=np.float64)
     _require(arr.shape == shape, path, lineno, f"{name} has shape {arr.shape}")
-    _require(bool(np.isfinite(arr).all()), path, lineno, f"{name} has non-finite values")
     return arr
 
 
@@ -264,12 +267,12 @@ def write_meshes(meshes: dict[str, ObjectMesh], directory) -> None:
 
 
 def _bits(raw, path, lineno, name, count):
+    """``count`` JSON ints, returned as given; ``ContactMap`` checks that they are bits."""
     _require(isinstance(raw, list) and len(raw) == count, path, lineno,
              f"{name} must be a list of {count} bits")
-    # by type first: true/false and 1.0 equal 1 but are not the int bits the format writes
-    _require(set(map(type, raw)) <= {int} and set(raw) <= {0, 1}, path, lineno,
-             f"{name} entries must be 0 or 1")
-    return np.asarray(raw, dtype=np.uint8)
+    # true/false and 1.0 equal 1 but are not the int bits the format writes
+    _require(set(map(type, raw)) <= {int}, path, lineno, f"{name} entries must be JSON ints")
+    return raw
 
 
 def load_contact_targets(path, clips, config: DatasetConfig) -> list[ContactSample]:

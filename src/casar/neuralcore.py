@@ -158,7 +158,7 @@ def forward(model: MlpModel, X) -> tuple[np.ndarray, list[np.ndarray]]:
     """
     x = np.asarray(X, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
-        raise ShapeError(f"input shape {x.shape} is not a (batch, {model.input_dim}) batch")
+        raise ShapeError(f"input shape {x.shape} is not a (batch, width {model.input_dim}) batch")
     acts = [x]
     for W, b, name in zip(model.weights, model.biases, model.activations):
         z = acts[-1] @ W.T
@@ -314,24 +314,32 @@ def _mem_available() -> int | None:
     return None
 
 
+def check_memory(layer_dims, bytes_per_parameter: int, task: str) -> None:
+    """Refuse a ``task`` that needs more than ``MemAvailable`` for its parameters.
+
+    When ``bytes_per_parameter`` times the network's parameter count exceeds
+    the memory the kernel reports as available, this raises
+    ``ValidationError`` before anything is allocated.  The check is skipped
+    where ``_MEMINFO`` cannot be read.
+    """
+    needed = bytes_per_parameter * parameter_count(layer_dims)
+    available = _mem_available()
+    if available is not None and needed > available:
+        raise ValidationError(
+            f"{task} a network of layer dims {list(layer_dims)} needs {needed} bytes "
+            f"({bytes_per_parameter} per parameter), but only {available} bytes "
+            f"are available"
+        )
+
+
 def check_training_memory(layer_dims) -> None:
     """Refuse to train a network whose float64 training state cannot fit.
 
     Training peaks at ``TRAIN_BYTES_PER_PARAMETER`` bytes per parameter
     (parameters, one gradient vector, Adam's two moments) plus the feature
-    matrix and one mini-batch.  When the per-parameter bytes exceed the
-    memory the kernel reports as available, this raises ``ValidationError``
-    before anything is allocated.  The check is skipped where ``_MEMINFO``
-    cannot be read.
+    matrix and one mini-batch.
     """
-    needed = TRAIN_BYTES_PER_PARAMETER * parameter_count(layer_dims)
-    available = _mem_available()
-    if available is not None and needed > available:
-        raise ValidationError(
-            f"training a network of layer dims {list(layer_dims)} needs {needed} bytes "
-            f"({TRAIN_BYTES_PER_PARAMETER} per parameter), but only {available} bytes "
-            f"are available"
-        )
+    check_memory(layer_dims, TRAIN_BYTES_PER_PARAMETER, "training")
 
 
 def adam_step(model: MlpModel, grads: np.ndarray, state: AdamState,

@@ -258,11 +258,9 @@ def train_contact_module(
 def predict_contact(module: TrainedContactModule, frame_vec: np.ndarray) -> np.ndarray:
     """Per-frame contact/distant probabilities for one encoded frame."""
     v = np.asarray(frame_vec, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] != module.model.input_dim:
-        raise ShapeError(
-            f"frame vector has shape {v.shape}, module expects ({module.model.input_dim},)"
-        )
-    out, _ = nn.forward(module.model, v[None])
+    if v.ndim != 1:
+        raise ShapeError(f"frame vector has shape {v.shape}; expected one 1-D vector")
+    out, _ = nn.forward(module.model, v[None])  # forward checks the width
     return out[0]
 
 
@@ -326,16 +324,12 @@ def train_action_module(
             f"action labels out of range [0, {n_classes}) in clips: {bad[:5]}"
         )
 
-    expected = (
-        data_config.augmented_clip_dim if config.augment_contact else data_config.clip_dim
-    )
-    dims = [expected, config.hidden_width, config.hidden_width, n_classes]
+    width = data_config.augmented_clip_dim if config.augment_contact else data_config.clip_dim
+    dims = [width, config.hidden_width, config.hidden_width, n_classes]
     nn.check_training_memory(dims)
 
     digest_before = contact.parameter_digest() if contact is not None else None
     X = np.stack([clip_features(c, contact, config, data_config) for c in clips])
-    if X.shape[1] != expected:
-        raise ShapeError(f"clip features have width {X.shape[1]}, expected {expected}")
 
     head_activation = nn.SIGMOID if config.action_head == "sigmoid_ce" else nn.IDENTITY
     model = nn.init_model(dims, seed=config.seed, output_activation=head_activation)
@@ -354,12 +348,7 @@ def predict_action(
 ) -> tuple[int, np.ndarray]:
     """Class index (argmax, lowest index wins ties) and g's raw outputs."""
     x = clip_features(clip, contact, action.config, data_config)
-    if x.shape[0] != action.model.input_dim:
-        raise ShapeError(
-            f"clip features have width {x.shape[0]}, action model expects "
-            f"{action.model.input_dim}"
-        )
-    out, _ = nn.forward(action.model, x[None])
+    out, _ = nn.forward(action.model, x[None])  # forward checks the width
     return int(np.argmax(out[0])), out[0]
 
 
@@ -414,9 +403,11 @@ def load_checkpoint(path) -> nn.MlpModel:
 
 
 def _read_checkpoint(fh, path) -> nn.MlpModel:
-    """Check the header and the file size, then stream the float32 blocks.
+    """Check the header, the file size and the memory, then stream the float32 blocks.
 
-    Each block is cast into its float64 view through one buffer of at most
+    A checkpoint whose float64 parameters exceed ``MemAvailable`` is
+    refused with ``ValidationError`` before they are allocated.  Each block
+    is cast into its float64 view through one buffer of at most
     ``_READ_BLOCK`` values, so the file is never held whole.
     """
     raw = _take(fh, 8, "magic", path)
@@ -454,6 +445,7 @@ def _read_checkpoint(fh, path) -> nn.MlpModel:
         )
     if size > expected:
         raise CheckpointError(f"{path}: {size - expected} trailing bytes after parameters")
+    nn.check_memory(dims, 8, "loading")  # 8 B per float64 parameter
     params = np.empty(count)
     weights, biases = nn.layer_views(params, nn.weight_shapes(dims))
     buf = np.empty(min(count, _READ_BLOCK), dtype="<f4")

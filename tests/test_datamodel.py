@@ -17,7 +17,6 @@ from casar.datamodel import (
     ObjectAnnotation,
     encode_clip,
     encode_frame,
-    one_hot,
     resample_frames,
     resample_indices,
 )
@@ -142,23 +141,7 @@ def test_object_annotation_validates_pose_points_and_transform():
 
 
 # ---------------------------------------------------------------------------
-# one-hot and frame encoding
-
-
-@given(st.integers(2, 40), st.data())
-def test_one_hot_properties(count, data):
-    index = data.draw(st.integers(0, count - 1))
-    vec = one_hot(index, count)
-    assert vec.sum() == 1.0
-    assert vec[index] == 1.0
-    assert len(vec) == count
-
-
-def test_one_hot_range_errors():
-    with pytest.raises(ValidationError):
-        one_hot(5, 5)
-    with pytest.raises(ValidationError):
-        one_hot(-1, 5)
+# frame encoding
 
 
 def test_encode_frame_layout_decodes_back():
@@ -172,7 +155,7 @@ def test_encode_frame_layout_decodes_back():
     np.testing.assert_array_equal(vec[J3:2 * J3].reshape(21, 3), frame.hand.right)
     np.testing.assert_array_equal(vec[2 * J3:2 * J3 + 63].reshape(21, 3),
                                   frame.object.pose_points)
-    np.testing.assert_array_equal(vec[-8:], one_hot(3, 8))
+    np.testing.assert_array_equal(vec[-8:], np.eye(8)[3])
 
 
 def test_encode_frame_enforces_hand_count_and_label_range():

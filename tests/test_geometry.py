@@ -174,8 +174,10 @@ def test_labels_invariant_under_rigid_motion(verts, joints, angles, translation)
 def test_contact_map_rejects_overlap_and_nonbinary():
     with pytest.raises(ValidationError):
         ContactMap(contact=np.array([1, 0]), distant=np.array([1, 0]))
-    with pytest.raises(ValidationError):
-        ContactMap(contact=np.array([2, 0]), distant=np.array([0, 0]))
+    # checked before the uint8 cast, which would make 0.7 and 256 into 0 and 1.9 into 1
+    for bad in (2, 0.7, 1.9, -1, 256):
+        with pytest.raises(ValidationError):
+            ContactMap(contact=np.array([bad, 0]), distant=np.array([0.0, 0.0]))
     with pytest.raises(ShapeError):
         ContactMap(contact=np.array([1, 0]), distant=np.array([0, 0, 0]))
 

@@ -64,6 +64,20 @@ MALFORMED = [
     ("clips", ("frames", 0, "object_pose", 3, 0), "0"),
     ("contacts", ("contact",), [False] * DC.joint_count),
     ("contacts", ("distant",), [0.0] * DC.joint_count),
+    # NaN and Infinity are JSON numbers to Python's reader; the constructors refuse them
+    ("clips", ("frames", 0, "right", 4, 1), float("nan")),
+    ("clips", ("frames", 0, "right", 4, 1), float("inf")),
+    ("clips", ("frames", 0, "bbox_corners", 5, 0), float("nan")),
+    ("clips", ("frames", 0, "bbox_corners", 5, 0), float("inf")),
+    # opposite infinities make NaN centers and midpoints, without a numpy warning
+    ("clips", ("frames", 0, "bbox_corners"),
+     [[float("inf"), 0.0, 0.0], [float("-inf"), 0.0, 0.0]] + [[0.0, 0.0, 0.0]] * 6),
+    ("clips", ("frames", 0, "object_pose", 0, 3), float("nan")),
+    ("clips", ("frames", 0, "object_pose", 0, 3), float("inf")),
+    # ints that are not bits; 256 would wrap to 0 in a uint8 cast
+    ("contacts", ("contact", 0), 2),
+    ("contacts", ("contact", 0), -1),
+    ("contacts", ("contact", 0), 256),
 ]
 
 

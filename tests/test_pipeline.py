@@ -478,6 +478,28 @@ def test_checkpoint_is_read_without_holding_the_whole_file(
     np.testing.assert_array_equal(loaded.params, module.model.params.astype(np.float32))
 
 
+def test_checkpoint_that_cannot_fit_in_memory_is_refused_before_allocating(
+        tmp_path, trained_contact, monkeypatch):
+    module, _ = trained_contact
+    path = tmp_path / "f.ckpt"
+    save_checkpoint(module.model, path)
+    needed = 8 * nn.parameter_count(module.model.layer_dims)
+    (tmp_path / "meminfo").write_text(f"MemAvailable:   {needed // 1024 - 1} kB\n")
+    monkeypatch.setattr(nn, "_MEMINFO", str(tmp_path / "meminfo"))
+
+    def no_empty(*args, **kwargs):
+        raise AssertionError("parameters were allocated before the memory check")
+
+    monkeypatch.setattr("casar.pipeline.np.empty", no_empty)
+    with pytest.raises(ValidationError) as exc:
+        load_checkpoint(path)
+    assert exc.value.exit_code == 2
+    for part in (f"loading a network of layer dims {module.model.layer_dims}",
+                 f"needs {needed} bytes (8 per parameter)",
+                 f"only {(needed // 1024 - 1) * 1024} bytes"):
+        assert part in str(exc.value)
+
+
 @pytest.mark.parametrize(
     "mangle",
     [
