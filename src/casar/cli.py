@@ -73,10 +73,6 @@ def _write_manifest(path: Path, t0: float, command: str, **fields) -> None:
         "started_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t0)),
         "elapsed_seconds": round(time.time() - t0, 3),
     }
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DataIOError(f"cannot write manifest {path}: {exc}") from exc
     with atomic_write(path) as fh:
         fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
@@ -224,30 +220,6 @@ def _save_trained(args, t0: float, module, history: list, dc: DatasetConfig,
 
 
 # ---------------------------------------------------------------------------
-# dataset directory layout
-
-
-def _load_dataset(data_dir, dc: DatasetConfig, need_contacts: bool):
-    d = Path(data_dir)
-    clips_path = d / "clips.jsonl"
-    if not clips_path.is_file():
-        raise DataIOError(f"no clips.jsonl under {d}")
-    clips = load_clips(clips_path, dc)
-    meshes = {}
-    if (d / "meshes").is_dir():
-        meshes = load_meshes(d / "meshes")
-    contacts = []
-    cpath = d / "contacts.jsonl"
-    if cpath.is_file():
-        contacts = load_contact_targets(cpath, clips, dc)
-    elif need_contacts:
-        raise DataIOError(
-            f"no contacts.jsonl under {d}; run the synth or derive-contact command first"
-        )
-    return clips, meshes, contacts
-
-
-# ---------------------------------------------------------------------------
 # commands
 
 
@@ -302,7 +274,9 @@ def cmd_train_contact(args) -> int:
     dc = _dataset_config(doc, args)
     fcfg = _build(ContactModuleConfig, doc.get("contact", {}),
                   f"config {args.config} contact section", vars(args))
-    _, _, contacts = _load_dataset(args.data, dc, need_contacts=True)
+    data = Path(args.data)
+    contacts = load_contact_targets(data / "contacts.jsonl",
+                                    load_clips(data / "clips.jsonl", dc), dc)
     module, history = train_contact_module(contacts, fcfg, dc)
     _save_trained(args, t0, module, history, dc, {"data": str(args.data)}, samples=len(contacts))
     return 0
@@ -316,7 +290,7 @@ def cmd_train_action(args) -> int:
     _check_widths(dc, contact)
     gcfg = _build(ActionModuleConfig, doc.get("action", {}),
                   f"config {args.config} action section", vars(args))
-    clips, _, _ = _load_dataset(args.data, dc, need_contacts=False)
+    clips = load_clips(Path(args.data) / "clips.jsonl", dc)
     action, history = train_action_module(clips, contact, gcfg, dc)
     _save_trained(args, t0, action, history, dc,
                   {"data": str(args.data), "contact_ckpt": str(args.contact_ckpt)},
@@ -327,7 +301,11 @@ def cmd_train_action(args) -> int:
 def cmd_eval(args) -> int:
     t0 = time.time()
     contact, action, dc = _load_pipeline(args, _load_config(args.config))
-    clips, _, contacts = _load_dataset(args.data, dc, need_contacts=False)
+    data = Path(args.data)
+    clips = load_clips(data / "clips.jsonl", dc)
+    # without contact targets the report's contact accuracies are NaN
+    cpath = data / "contacts.jsonl"
+    contacts = load_contact_targets(cpath, clips, dc) if cpath.is_file() else []
     report = evaluate_pipeline(contact, action, clips, contacts, dc)
     inputs = {"data": str(args.data), "contact_ckpt": str(args.contact_ckpt),
               "action_ckpt": str(args.action_ckpt)}
@@ -365,24 +343,22 @@ def cmd_ablation(args) -> int:
         _check_widths(dc, contact)
     else:
         dc = _dataset_config(doc, args)
-    train_clips, _, contacts = _load_dataset(args.data, dc, need_contacts=contact is None)
+    data = Path(args.data)
+    train_clips = load_clips(data / "clips.jsonl", dc)
     if args.test_data is not None:
-        test_clips, _, _ = _load_dataset(args.test_data, dc, need_contacts=False)
+        test_clips = load_clips(Path(args.test_data) / "clips.jsonl", dc)
     else:
         test_clips = train_clips
     if contact is None:
         # the training flags are g's; f comes from the config file alone
         fcfg = _build(ContactModuleConfig, doc.get("contact", {}),
                       f"config {args.config} contact section")
+        contacts = load_contact_targets(data / "contacts.jsonl", train_clips, dc)
         contact, _ = train_contact_module(contacts, fcfg, dc)
     gcfg = _build(ActionModuleConfig, doc.get("action", {}),
                   f"config {args.config} action section", vars(args))
     rows = run_ablation(train_clips, test_clips, contact, gcfg, dc)
     report = Path(args.report)
-    try:
-        report.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DataIOError(f"cannot write ablation report to {report}: {exc}") from exc
     with atomic_write(report / "ablation.csv") as fh:
         fh.write("variant,accuracy\n")
         for row in rows:

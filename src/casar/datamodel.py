@@ -7,6 +7,7 @@ order.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -15,6 +16,12 @@ from .errors import ShapeError, ValidationError, check_field_types
 from .geometry import ContactMap, ContactThresholds, as_points, validate_rigid_transform
 
 OBJECT_POSE_POINTS = 21  # center + 8 corners + 12 mid-edge points
+
+
+def _check_label(value, what: str) -> None:
+    """A class label is an int >= 0: as for an int config field, any integral but bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValidationError(f"{what} must be an int >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -105,8 +112,7 @@ class ObjectAnnotation:
     mesh_id: str | None = None
 
     def __post_init__(self):
-        if self.label_id < 0:
-            raise ValidationError(f"object label must be >= 0, got {self.label_id}")
+        _check_label(self.label_id, "object label")
         pts = as_points(self.pose_points, "object pose points")
         if len(pts) != OBJECT_POSE_POINTS:
             raise ShapeError(
@@ -128,7 +134,7 @@ class FrameSample:
 
 @dataclass(frozen=True)
 class ActionClip:
-    """A labeled frame sequence; the object label is constant over frames."""
+    """A labeled frame sequence; the object label and mesh id are constant over frames."""
 
     clip_id: str
     action_label: int
@@ -138,12 +144,12 @@ class ActionClip:
         object.__setattr__(self, "frames", tuple(self.frames))
         if len(self.frames) < 1:
             raise ValidationError(f"clip {self.clip_id!r}: needs at least one frame")
-        if self.action_label < 0:
-            raise ValidationError(f"clip {self.clip_id!r}: negative action label")
-        labels = {f.object.label_id for f in self.frames}
-        if len(labels) != 1:
+        _check_label(self.action_label, f"clip {self.clip_id!r}: action label")
+        objects = {(f.object.label_id, f.object.mesh_id) for f in self.frames}
+        if len(objects) != 1:
             raise ValidationError(
-                f"clip {self.clip_id!r}: object label must be constant, got {sorted(labels)}"
+                f"clip {self.clip_id!r}: object label and mesh id must be constant, "
+                f"got {sorted(objects, key=str)}"
             )
 
     @property

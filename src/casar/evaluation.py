@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .datamodel import ActionClip, ContactSample, DatasetConfig, encode_frame
-from .errors import DataIOError, ShapeError, ValidationError
+from .errors import ShapeError, ValidationError
 from .io import atomic_write
 from .pipeline import (
     ActionModuleConfig,
@@ -219,10 +219,6 @@ def write_report(report: EvalReport, out_dir, provenance: dict | None = None) ->
     repeated identical runs produce byte-identical report files.
     """
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DataIOError(f"cannot write reports to {out_dir}: {exc}") from exc
 
     def _json_safe(value: float):
         return None if np.isnan(value) else value

@@ -19,8 +19,9 @@ Contact record:
     {"clip_id": str, "frame_index": int, "contact": [0/1 x H*J],
      "distant": [0/1 x H*J]}
 
-Every writer in the package goes through ``atomic_write``: a file is
-either left as it was or replaced whole.
+Every writer in the package goes through ``atomic_write``: it creates
+the file's parent directory if that is missing, and a file is either left
+as it was or replaced whole.
 """
 
 from __future__ import annotations
@@ -51,15 +52,17 @@ MESH_SUFFIX = ".obj"
 def atomic_write(path, mode: str = "w"):
     """Open ``path`` for writing; it is replaced only if the block completes.
 
-    Data goes to ``<path>.tmp``, which ``os.replace`` moves over ``path``
-    on success and which is removed on any failure, so readers see the old
-    file or the new one, never a partial write.  Text is UTF-8 and line
-    endings are written as given.  OS failures become ``DataIOError``.
+    The parent directory is created first if it is missing.  Data goes to
+    ``<path>.tmp``, which ``os.replace`` moves over ``path`` on success and
+    which is removed on any failure, so readers see the old file or the new
+    one, never a partial write.  Text is UTF-8 and line endings are written
+    as given.  OS failures become ``DataIOError``.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         try:
             with open(tmp, mode, **text) as fh:
                 yield fh
@@ -258,10 +261,6 @@ def load_meshes(directory) -> dict[str, ObjectMesh]:
 
 def write_meshes(meshes: dict[str, ObjectMesh], directory) -> None:
     d = Path(directory)
-    try:
-        d.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DataIOError(f"cannot create mesh directory {d}: {exc}") from exc
     for mesh_id, mesh in sorted(meshes.items()):
         write_obj_vertices(d / f"{mesh_id}{MESH_SUFFIX}", mesh.vertices)
 

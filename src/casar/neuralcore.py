@@ -85,10 +85,6 @@ class MlpModel:
     def input_dim(self) -> int:
         return self.layer_dims[0]
 
-    @property
-    def output_dim(self) -> int:
-        return self.layer_dims[-1]
-
     def parameter_bytes(self) -> bytes:
         """Canonical byte string of all parameters (for freeze checks)."""
         return self.params.tobytes()

@@ -283,10 +283,6 @@ def make_meshes() -> dict[str, ObjectMesh]:
 # placement helpers
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
-
-
 def _random_unit(rng: np.random.Generator) -> np.ndarray:
     while True:
         v = rng.normal(size=3)
@@ -447,7 +443,7 @@ def _build_clip(
     cspec: ClassSpec,
     meshes: list[ObjectMesh],
     canon_indexes: list[SpatialIndex],
-    canon_pose21: list[np.ndarray],
+    canon_corners: list[np.ndarray],
     n_frames: int,
     noise_sigma: float,
 ) -> ActionClip:
@@ -486,7 +482,7 @@ def _build_clip(
         else:
             hand = HandPose(right=other_w, left=acting_w)
 
-        pose_points = expand_bbox_21(canon_pose21[obj_id][1:9] @ rot_t + shift)
+        pose_points = expand_bbox_21(canon_corners[obj_id] @ rot_t + shift)
         annotation = ObjectAnnotation(
             label_id=obj_id,
             pose_points=pose_points,
@@ -513,10 +509,8 @@ def synth_generate(
     mesh_dict = make_meshes()
     meshes = [mesh_dict[k] for k in sorted(mesh_dict)]
     canon_indexes = [build_vertex_index(m.vertices) for m in meshes]
-    canon_pose21 = [
-        expand_bbox_21(box_corners(m.vertices.min(axis=0), m.vertices.max(axis=0)))
-        for m in meshes
-    ]
+    canon_corners = [box_corners(m.vertices.min(axis=0), m.vertices.max(axis=0))
+                     for m in meshes]
 
     total = spec.class_count * spec.clips_per_class
     children = np.random.SeedSequence(spec.seed).spawn(total)
@@ -531,6 +525,6 @@ def synth_generate(
             clip_id = f"{clip_prefix}_{class_id:02d}_{j:04d}"
             clips.append(_build_clip(
                 rng, clip_id, class_id, cspec, meshes, canon_indexes,
-                canon_pose21, n_frames, spec.noise_sigma,
+                canon_corners, n_frames, spec.noise_sigma,
             ))
     return clips, mesh_dict, derive_contact_dataset(clips, mesh_dict, thresholds)

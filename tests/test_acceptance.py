@@ -158,6 +158,7 @@ def test_c3_scalar_values(capfd):
 # C4: synthetic end-to-end at reduced widths
 
 
+@pytest.mark.slow
 def test_c4_synthetic_end_to_end(capfd):
     t0 = time.time()
     dc = DatasetConfig()

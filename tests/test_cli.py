@@ -1,6 +1,7 @@
 """Command line surface: the full synth/derive/train/eval flow plus error paths."""
 
 import json
+import shutil
 import subprocess
 import sys
 
@@ -290,6 +291,71 @@ def test_ablation_reads_the_contact_checkpoints_dataset(workspace, tmp_path, mon
     assert seen["dc"].action_class_count == SMALL_CFG["dataset"]["action_class_count"]
     manifest = json.loads((tmp_path / "ablation" / "manifest.json").read_text())
     assert manifest["config"]["dataset"] == load_checkpoint_meta(workspace / "f.ckpt")["dataset"]
+
+
+# ---------------------------------------------------------------------------
+# each command reads only its own files; every writer makes its directory
+
+
+def _dataset_with_bad_files(workspace, root, bad_contacts=True):
+    """A copy of the workspace dataset with a non-finite mesh vertex and a bad last contact."""
+    data = root / "data"
+    shutil.copytree(workspace / "data", data)
+    (data / "meshes" / "obj0.obj").write_text("v 1 2 nan\n")
+    if bad_contacts:
+        with open(data / "contacts.jsonl", "a", encoding="utf-8") as fh:
+            fh.write('{"clip_id":"nope","frame_index":0,"contact":[],"distant":[]}\n')
+    return data
+
+
+def test_action_training_reads_neither_meshes_nor_contacts(workspace, tmp_path):
+    data = _dataset_with_bad_files(workspace, tmp_path)
+    f, cfg = str(workspace / "f.ckpt"), str(workspace / "config.json")
+    assert main(["train-action", "--data", str(data), "--contact-ckpt", f, "--config", cfg,
+                 "--out", str(tmp_path / "g.ckpt")]) == 0
+    for name in ["g.ckpt", "g.ckpt.meta.json"]:
+        assert (tmp_path / name).read_bytes() == (workspace / name).read_bytes()
+    assert main(["ablation", "--data", str(data), "--test-data", str(data),
+                 "--contact-ckpt", f, "--config", cfg,
+                 "--report", str(tmp_path / "ablation")]) == 0
+    assert ((tmp_path / "ablation" / "ablation.csv").read_bytes()
+            == (workspace / "ablation" / "ablation.csv").read_bytes())
+
+
+def test_contact_training_reads_contacts_but_not_meshes(workspace, tmp_path, capsys):
+    data = _dataset_with_bad_files(workspace, tmp_path)
+    last = len((data / "contacts.jsonl").read_text().splitlines())
+    assert main(["train-contact", "--data", str(data), "--config",
+                 str(workspace / "config.json"), "--out", str(tmp_path / "f.ckpt")]) == 2
+    assert f"contacts.jsonl:{last}: unknown clip_id" in stderr_json(capsys)["message"]
+
+
+def test_eval_does_not_read_meshes(workspace, tmp_path, monkeypatch):
+    """Both runs name their dataset ``data``, so the reports' provenance matches too."""
+    shutil.copytree(workspace / "data", tmp_path / "clean" / "data")
+    _dataset_with_bad_files(workspace, tmp_path / "bad", bad_contacts=False)
+    for root in ["clean", "bad"]:
+        monkeypatch.chdir(tmp_path / root)
+        assert main(["eval", "--data", "data", "--contact-ckpt", str(workspace / "f.ckpt"),
+                     "--action-ckpt", str(workspace / "g.ckpt"),
+                     "--config", str(workspace / "config.json"), "--report", "report"]) == 0
+    for name in ["metrics.json", "confusion.csv", "per_object.csv"]:
+        assert ((tmp_path / "bad" / "report" / name).read_bytes()
+                == (tmp_path / "clean" / "report" / name).read_bytes())
+
+
+def test_writers_create_a_missing_output_directory(workspace, tmp_path):
+    data = workspace / "data"
+    derived = tmp_path / "new" / "deeper" / "c.jsonl"
+    assert main(["derive-contact", "--clips", str(data / "clips.jsonl"),
+                 "--meshes", str(data / "meshes"), "--out", str(derived)]) == 0
+    assert derived.read_bytes() == (workspace / "derived.jsonl").read_bytes()
+    f = tmp_path / "models" / "f.ckpt"
+    assert main(["train-contact", "--data", str(data), "--config",
+                 str(workspace / "config.json"), "--out", str(f)]) == 0
+    for name in ["f.ckpt", "f.ckpt.meta.json"]:
+        assert (f.parent / name).read_bytes() == (workspace / name).read_bytes()
+    assert (f.parent / "f.ckpt.manifest.json").is_file()
 
 
 # ---------------------------------------------------------------------------

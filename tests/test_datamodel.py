@@ -32,7 +32,8 @@ from casar.io import (
 )
 
 
-def make_frame(config: DatasetConfig, label_id: int = 0, offset: float = 0.0) -> FrameSample:
+def make_frame(config: DatasetConfig, label_id: int = 0, offset: float = 0.0,
+               mesh_id: str = "m0") -> FrameSample:
     J = config.joints_per_hand
     base = np.arange(J * 3, dtype=np.float64).reshape(J, 3) * 0.01 + offset
     left = base if config.hands == 2 else None
@@ -44,7 +45,7 @@ def make_frame(config: DatasetConfig, label_id: int = 0, offset: float = 0.0) ->
             label_id=label_id,
             pose_points=pose_points,
             world_from_canonical=np.eye(4),
-            mesh_id="m0",
+            mesh_id=mesh_id,
         ),
     )
 
@@ -116,18 +117,25 @@ def test_one_hand_pose():
 
 def test_clip_requires_constant_object_label():
     dc = DatasetConfig(joints_per_hand=2, action_class_count=2, object_class_count=2)
-    f0 = make_frame(dc, label_id=0)
-    f1 = make_frame(dc, label_id=1)
-    with pytest.raises(ValidationError):
-        ActionClip(clip_id="bad", action_label=0, frames=(f0, f1))
+    for objects in [
+        [(0, "m0"), (1, "m0")],
+        # one label, but frame 1 shows another mesh: labeling and writing use frame 0's
+        [(0, "obj6"), (0, "obj5"), (0, "obj6")],
+        [(0, "m0"), (0, None)],
+    ]:
+        frames = tuple(make_frame(dc, label_id=label, mesh_id=mesh) for label, mesh in objects)
+        with pytest.raises(ValidationError, match="constant"):
+            ActionClip(clip_id="bad", action_label=0, frames=frames)
 
 
 def test_clip_rejects_empty_and_negative_label():
     dc = DatasetConfig(joints_per_hand=2)
     with pytest.raises(ValidationError):
         ActionClip(clip_id="empty", action_label=0, frames=())
-    with pytest.raises(ValidationError):
-        ActionClip(clip_id="neg", action_label=-1, frames=(make_frame(dc),))
+    # a float or bool label would fail later as numpy's bare IndexError
+    for label in (-1, 1.5, 2.0, True):
+        with pytest.raises(ValidationError, match="action label"):
+            ActionClip(clip_id="bad", action_label=label, frames=(make_frame(dc),))
 
 
 def test_object_annotation_validates_pose_points_and_transform():
@@ -138,6 +146,13 @@ def test_object_annotation_validates_pose_points_and_transform():
     T[0, 0] = 2.0
     with pytest.raises(ValidationError):
         ObjectAnnotation(label_id=0, pose_points=np.zeros((21, 3)), world_from_canonical=T)
+    for label in (-1, 2.0, 1.5, True):
+        with pytest.raises(ValidationError, match="object label"):
+            ObjectAnnotation(label_id=label, pose_points=np.zeros((21, 3)),
+                             world_from_canonical=np.eye(4))
+    np_label = ObjectAnnotation(label_id=np.int64(2), pose_points=np.zeros((21, 3)),
+                                world_from_canonical=np.eye(4))
+    assert np_label.label_id == 2
 
 
 # ---------------------------------------------------------------------------
