@@ -8,10 +8,18 @@ Adam update are all explicit here; no autodiff framework is involved.
 Math runs in double precision so that analytic gradients can be checked
 against central finite differences.  The step-decay learning rate is a
 formula over the module configs' fields, in ``pipeline.lr_at``.
+
+``adam_step`` splits a long flat vector into one contiguous range per
+core in the process's affinity mask (``os.sched_getaffinity``, else
+``os.cpu_count``) and walks them on short-lived threads; numpy releases
+the interpreter lock inside each block's operations.  The update is
+elementwise, so its bits do not depend on the core count.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,10 +228,14 @@ def focal_loss(pred, target, alpha: float, gamma: float) -> tuple[float, np.ndar
     one_m_p = 1.0 - p
     log_p = np.log(p)
     log_1mp = np.log(one_m_p)
-    term = -(a * q * one_m_p**g * log_p + (1.0 - a) * (1.0 - q) * p**g * log_1mp)
+    w_pos = a * q
+    w_neg = (1.0 - a) * (1.0 - q)
+    pow_pos = one_m_p**g
+    pow_neg = p**g
+    term = -(w_pos * pow_pos * log_p + w_neg * pow_neg * log_1mp)
     # d(term)/dp; the gamma * x^(gamma-1) factors vanish exactly at gamma = 0
-    d_pos = -a * q * (one_m_p**g / p - g * one_m_p ** (g - 1.0) * log_p)
-    d_neg = -(1.0 - a) * (1.0 - q) * (g * p ** (g - 1.0) * log_1mp - p**g / one_m_p)
+    d_pos = -w_pos * (pow_pos / p - g * one_m_p ** (g - 1.0) * log_p)
+    d_neg = -w_neg * (g * p ** (g - 1.0) * log_1mp - pow_neg / one_m_p)
     grad = (d_pos + d_neg) / term.size
     return float(term.mean()), grad
 
@@ -278,7 +290,10 @@ def softmax_action_loss(logits, labels) -> tuple[float, np.ndarray]:
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-ADAM_BLOCK = 32768  # elements per pass of adam_step: 256 KB per operand stays in cache
+# elements per pass of an adam_step range (one range per usable core, each with
+# two scratch blocks of its own): 256 KB per operand stays in cache
+ADAM_BLOCK = 32768
+ADAM_MIN_BLOCKS = 4  # shortest range given its own thread: ~1 ms of work against ~0.1 ms to start one
 
 
 @dataclass
@@ -333,37 +348,42 @@ def check_training_memory(layer_dims) -> None:
 
     Training peaks at ``TRAIN_BYTES_PER_PARAMETER`` bytes per parameter
     (parameters, one gradient vector, Adam's two moments) plus the feature
-    matrix and one mini-batch.
+    matrix, one mini-batch, and two ``ADAM_BLOCK`` scratch blocks (512 KB)
+    per Adam range, one range per usable core.
     """
     check_memory(layer_dims, TRAIN_BYTES_PER_PARAMETER, "training")
 
 
-def adam_step(model: MlpModel, grads: np.ndarray, state: AdamState,
-              lr: float) -> tuple[MlpModel, AdamState]:
-    """One bias-corrected Adam update, applied in place.
+def _usable_cores() -> int:
+    """Cores in this process's affinity mask, else the machine's core count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # the affinity call exists only on some platforms
+        return os.cpu_count() or 1
 
-    Per element, in this order of operations:
-        m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
-        p -= (lr*(m/corr1)) / (sqrt(v/corr2) + eps)
-    The flat vectors are walked ``ADAM_BLOCK`` elements at a time through
-    two scratch blocks, so every operand stays in cache between the
-    operations and no whole-vector temporary is made.
+
+def _adam_ranges(n: int) -> list[tuple[int, int]]:
+    """Contiguous [start, stop) ranges that split [0, n) for ``adam_step``.
+
+    One range per usable core, each a whole number of ``ADAM_BLOCK``s (the
+    last ends at n), and none shorter than ``ADAM_MIN_BLOCKS`` blocks; a
+    vector too short for two such ranges is one range.
     """
-    if lr <= 0:
-        raise ValidationError(f"learning rate must be positive, got {lr}")
-    _check_layout(model, grads)
-    state.t += 1
+    blocks = n // ADAM_BLOCK  # whole blocks; the last range also takes the ragged tail
+    k = max(1, min(_usable_cores(), blocks // ADAM_MIN_BLOCKS))
+    edges = [i * blocks // k * ADAM_BLOCK for i in range(k)] + [n]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _adam_walk(p_all, g_all, m_all, v_all, lr, corr1, corr2, start, stop) -> None:
+    """The Adam update of elements [start, stop), in place, through two scratch blocks."""
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    corr1 = 1.0 - b1**state.t
-    corr2 = 1.0 - b2**state.t
-    p_all, g_all, m_all, v_all = model.params, grads, state.m, state.v
-    n = p_all.size
-    x_all = np.empty(min(n, ADAM_BLOCK))
+    x_all = np.empty(min(stop - start, ADAM_BLOCK))
     y_all = np.empty_like(x_all)
-    for start in range(0, n, ADAM_BLOCK):
-        stop = min(start + ADAM_BLOCK, n)
-        p, g, m, v = p_all[start:stop], g_all[start:stop], m_all[start:stop], v_all[start:stop]
-        x, y = x_all[:stop - start], y_all[:stop - start]
+    for lo in range(start, stop, ADAM_BLOCK):
+        hi = min(lo + ADAM_BLOCK, stop)
+        p, g, m, v = p_all[lo:hi], g_all[lo:hi], m_all[lo:hi], v_all[lo:hi]
+        x, y = x_all[:hi - lo], y_all[:hi - lo]
         m *= b1
         np.multiply(g, 1.0 - b1, out=x)
         m += x
@@ -378,4 +398,49 @@ def adam_step(model: MlpModel, grads: np.ndarray, state: AdamState,
         y *= lr
         y /= x
         p -= y
+
+
+def adam_step(model: MlpModel, grads: np.ndarray, state: AdamState,
+              lr: float) -> tuple[MlpModel, AdamState]:
+    """One bias-corrected Adam update, applied in place.
+
+    Per element, in this order of operations:
+        m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+        p -= (lr*(m/corr1)) / (sqrt(v/corr2) + eps)
+    The flat vectors are split into ``_adam_ranges``, one per core in the
+    process's affinity mask (so ``taskset -c 0`` gives one range).  The
+    calling thread walks the first range and a short-lived thread each
+    other one; all are joined before this returns, and an exception in
+    any is raised here.  Each range is walked ``ADAM_BLOCK`` elements at a
+    time through its own two scratch blocks, so every operand stays in
+    cache between the operations and no whole-vector temporary is made.
+    The update is elementwise, so the bits do not depend on the split.
+    """
+    if not lr > 0:
+        raise ValidationError(f"learning rate must be positive, got {lr}")
+    _check_layout(model, grads)
+    state.t += 1
+    args = (model.params, grads, state.m, state.v, lr,
+            1.0 - ADAM_BETA1**state.t, 1.0 - ADAM_BETA2**state.t)
+    first, *rest = _adam_ranges(model.params.size)
+    errors: list[BaseException] = []
+
+    def walk(start: int, stop: int) -> None:
+        try:
+            _adam_walk(*args, start, stop)
+        except BaseException as exc:  # a thread drops what it raises; the caller re-raises it
+            errors.append(exc)
+
+    workers: list[threading.Thread] = []
+    try:
+        for start, stop in rest:
+            worker = threading.Thread(target=walk, args=(start, stop))
+            worker.start()
+            workers.append(worker)
+        _adam_walk(*args, *first)
+    finally:
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[0]
     return model, state

@@ -196,9 +196,10 @@ def _fit(
     Each epoch visits the rows in a fresh permutation drawn from a
     generator seeded with ``config.seed``.  Returns one mean loss per
     epoch, averaged over all rows.  The working set is fixed: parameters,
-    one gradient vector, Adam's moments, and one mini-batch with its
-    activations, dropped before the next is drawn.  A ``NumericError`` is
-    re-raised naming the network and the epoch and step (from 0).
+    one gradient vector, Adam's moments, two 256 KB Adam scratch blocks
+    per usable core, and one mini-batch with its activations, dropped
+    before the next is drawn.  A ``NumericError`` is re-raised naming the
+    network and the epoch and step (from 0).
     """
     net = "contact network f" if isinstance(config, ContactModuleConfig) else "action network g"
     adam = nn.init_adam(model)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from casar import neuralcore
 from casar.datamodel import DatasetConfig
 from casar.synth import SynthSpec, synth_generate
 
@@ -33,3 +34,15 @@ def tiny_config():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture()
+def pin_cores(monkeypatch):
+    """``pin_cores(k)`` makes neuralcore see k usable cores, whatever the host has.
+
+    ``adam_step`` then splits a long vector into at most k ranges, so a
+    test starts at most k - 1 threads.
+    """
+    def pin(k: int) -> None:
+        monkeypatch.setattr(neuralcore.os, "sched_getaffinity", lambda pid: set(range(k)))
+    return pin

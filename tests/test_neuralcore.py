@@ -5,13 +5,16 @@ configs; their formula and bounds are checked here too.
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from casar import neuralcore
 from casar.errors import NumericError, ShapeError, ValidationError
 from casar.neuralcore import (
     ADAM_BLOCK,
+    ADAM_MIN_BLOCKS,
     IDENTITY,
     PRED_CLAMP,
     RELU,
@@ -123,6 +126,24 @@ def test_focal_gamma_zero_is_balanced_cross_entropy():
     bce_grad = -(0.5 * q / p - 0.5 * (1 - q) / (1 - p)) / p.size
     assert abs(loss - bce.mean()) <= 1e-12
     np.testing.assert_allclose(grad, bce_grad, atol=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 2.0, 4.0])
+def test_focal_matches_the_textbook_expression_bit_for_bit(gamma):
+    rng = np.random.default_rng(int(gamma))
+    a = 0.25
+    p_raw = rng.uniform(0.0, 1.0, size=(64, 84))
+    p_raw[0, :4] = (0.0, 1e-9, 1.0 - 1e-9, 1.0)  # clamped at both ends
+    q = rng.integers(0, 2, size=p_raw.shape).astype(np.float64)
+    loss, grad = focal_loss(p_raw, q, a, gamma)
+    p = clamp_probs(p_raw)
+    term = -(a * q * (1.0 - p)**gamma * np.log(p)
+             + (1.0 - a) * (1.0 - q) * p**gamma * np.log(1.0 - p))
+    d_pos = -a * q * ((1.0 - p)**gamma / p - gamma * (1.0 - p)**(gamma - 1.0) * np.log(p))
+    d_neg = -(1.0 - a) * (1.0 - q) * (gamma * p**(gamma - 1.0) * np.log(1.0 - p)
+                                      - p**gamma / (1.0 - p))
+    assert loss == float(term.mean())
+    assert grad.tobytes() == ((d_pos + d_neg) / term.size).tobytes()
 
 
 def test_focal_is_finite_at_saturated_predictions():
@@ -440,8 +461,60 @@ def test_adam_validation():
     model = _single_weight_model(0.0)
     with pytest.raises(ValidationError):
         adam_step(model, np.zeros(2), init_adam(model), lr=0.0)
+    with pytest.raises(ValidationError):
+        adam_step(model, np.zeros(2), init_adam(model), lr=float("nan"))
     with pytest.raises(ShapeError):
         adam_step(model, np.zeros(0), init_adam(model), lr=0.1)
+
+
+def _adam_run(cores: int, pin_cores) -> bytes:
+    """Params, m and v bytes after three Adam steps seen from ``cores`` cores."""
+    pin_cores(cores)
+    model = init_model([2100, 250, 9], seed=4)
+    n = model.params.size
+    # just above the floor for four ranges, with a ragged tail
+    assert 4 * ADAM_MIN_BLOCKS * ADAM_BLOCK < n < (4 * ADAM_MIN_BLOCKS + 1) * ADAM_BLOCK
+    assert len(neuralcore._adam_ranges(n)) == cores
+    state = init_adam(model)
+    rng = np.random.default_rng(5)
+    for lr in (1e-3, 5e-4, 2e-3):
+        adam_step(model, rng.normal(size=n), state, lr)
+    return model.parameter_bytes() + state.m.tobytes() + state.v.tobytes()
+
+
+def test_adam_step_bits_do_not_depend_on_the_core_count(pin_cores):
+    runs = [_adam_run(cores, pin_cores) for cores in (1, 2, 3, 4)]
+    assert runs[1:] == runs[:1] * 3
+
+
+@pytest.mark.parametrize("n, ranges", [
+    (1, 1), (2 * ADAM_MIN_BLOCKS * ADAM_BLOCK - 1, 1),
+    (2 * ADAM_MIN_BLOCKS * ADAM_BLOCK + 1, 2), (100 * ADAM_BLOCK, 3)])
+def test_adam_ranges_cover_the_vector_in_whole_blocks(pin_cores, n, ranges):
+    pin_cores(3)
+    split = neuralcore._adam_ranges(n)
+    assert len(split) == ranges
+    assert split[0][0] == 0 and split[-1][1] == n
+    assert all(stop == start for (_, stop), (start, _) in zip(split, split[1:]))
+    assert all(start % ADAM_BLOCK == 0 for start, _ in split)
+    assert ranges == 1 or all(stop - start >= ADAM_MIN_BLOCKS * ADAM_BLOCK for start, stop in split)
+
+
+def test_adam_step_raises_what_a_worker_raises(pin_cores, monkeypatch):
+    pin_cores(2)
+    walk = neuralcore._adam_walk
+
+    def failing_walk(*args):
+        if args[-2] > 0:  # the range a worker thread walks
+            raise ArithmeticError("worker failed")
+        walk(*args)
+
+    monkeypatch.setattr(neuralcore, "_adam_walk", failing_walk)
+    model = init_model([2100, 250, 9], seed=4)
+    threads = threading.active_count()
+    with pytest.raises(ArithmeticError, match="worker failed"):
+        adam_step(model, np.ones_like(model.params), init_adam(model), lr=1e-3)
+    assert threading.active_count() == threads
 
 
 # ---------------------------------------------------------------------------
