@@ -354,23 +354,20 @@ def check_training_memory(layer_dims) -> None:
     check_memory(layer_dims, TRAIN_BYTES_PER_PARAMETER, "training")
 
 
-def _usable_cores() -> int:
-    """Cores in this process's affinity mask, else the machine's core count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # the affinity call exists only on some platforms
-        return os.cpu_count() or 1
-
-
 def _adam_ranges(n: int) -> list[tuple[int, int]]:
     """Contiguous [start, stop) ranges that split [0, n) for ``adam_step``.
 
-    One range per usable core, each a whole number of ``ADAM_BLOCK``s (the
+    One range per usable core (the process's affinity mask, else the
+    machine's core count), each a whole number of ``ADAM_BLOCK``s (the
     last ends at n), and none shorter than ``ADAM_MIN_BLOCKS`` blocks; a
     vector too short for two such ranges is one range.
     """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # the affinity call exists only on some platforms
+        cores = os.cpu_count() or 1
     blocks = n // ADAM_BLOCK  # whole blocks; the last range also takes the ragged tail
-    k = max(1, min(_usable_cores(), blocks // ADAM_MIN_BLOCKS))
+    k = max(1, min(cores, blocks // ADAM_MIN_BLOCKS))
     edges = [i * blocks // k * ADAM_BLOCK for i in range(k)] + [n]
     return list(zip(edges[:-1], edges[1:]))
 
