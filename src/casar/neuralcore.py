@@ -9,11 +9,11 @@ Math runs in double precision so that analytic gradients can be checked
 against central finite differences.  The step-decay learning rate is a
 formula over the module configs' fields, in ``pipeline.lr_at``.
 
-``adam_step`` splits a long flat vector into one contiguous range per
-core in the process's affinity mask (``os.sched_getaffinity``, else
-``os.cpu_count``) and walks them on short-lived threads; numpy releases
-the interpreter lock inside each block's operations.  The update is
-elementwise, so its bits do not depend on the core count.
+``adam_step`` splits a long flat vector into contiguous ranges, one per
+core that BLAS leaves idle plus the caller's own (``_adam_threads``),
+and walks them on short-lived threads; numpy releases the interpreter
+lock inside each block's operations.  The update is elementwise, so its
+bits do not depend on the split.
 """
 
 from __future__ import annotations
@@ -290,10 +290,13 @@ def softmax_action_loss(logits, labels) -> tuple[float, np.ndarray]:
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# elements per pass of an adam_step range (one range per usable core, each with
+# elements per pass of an adam_step range (one range per _adam_threads, each with
 # two scratch blocks of its own): 256 KB per operand stays in cache
 ADAM_BLOCK = 32768
 ADAM_MIN_BLOCKS = 4  # shortest range given its own thread: ~1 ms of work against ~0.1 ms to start one
+ADAM_MAX_THREADS = 2  # the split was timed on two cores only
+# what numpy's OpenBLAS reads, in this order, for its thread count when it loads
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass
@@ -349,25 +352,46 @@ def check_training_memory(layer_dims) -> None:
     Training peaks at ``TRAIN_BYTES_PER_PARAMETER`` bytes per parameter
     (parameters, one gradient vector, Adam's two moments) plus the feature
     matrix, one mini-batch, and two ``ADAM_BLOCK`` scratch blocks (512 KB)
-    per Adam range, one range per usable core.
+    per Adam range, one range per ``_adam_threads``.
     """
     check_memory(layer_dims, TRAIN_BYTES_PER_PARAMETER, "training")
 
 
-def _adam_ranges(n: int) -> list[tuple[int, int]]:
-    """Contiguous [start, stop) ranges that split [0, n) for ``adam_step``.
+def _adam_threads() -> int:
+    """How many threads, the caller's included, one ``adam_step`` may use.
 
-    One range per usable core (the process's affinity mask, else the
-    machine's core count), each a whole number of ``ADAM_BLOCK``s (the
-    last ends at n), and none shorter than ``ADAM_MIN_BLOCKS`` blocks; a
-    vector too short for two such ranges is one range.
+    The caller's own, plus each core of the process's affinity mask (else
+    the machine's core count) that BLAS leaves idle, at most
+    ``ADAM_MAX_THREADS``.  numpy's OpenBLAS runs as many threads as the
+    first positive count in ``BLAS_THREAD_VARIABLES``, else one per core,
+    and its helper threads spin on their cores for about 0.1 s after each
+    matrix product, so an Adam thread there would only wait for them.
     """
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # the affinity call exists only on some platforms
         cores = os.cpu_count() or 1
+    blas = cores
+    for name in BLAS_THREAD_VARIABLES:
+        try:
+            count = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if count > 0:
+            blas = min(count, cores)
+            break
+    return max(1, min(ADAM_MAX_THREADS, cores - blas + 1))
+
+
+def _adam_ranges(n: int, threads: int) -> list[tuple[int, int]]:
+    """Contiguous [start, stop) ranges that split [0, n) for ``adam_step``.
+
+    At most ``threads`` ranges, each a whole number of ``ADAM_BLOCK``s (the
+    last ends at n), and none shorter than ``ADAM_MIN_BLOCKS`` blocks; a
+    vector too short for two such ranges is one range.
+    """
     blocks = n // ADAM_BLOCK  # whole blocks; the last range also takes the ragged tail
-    k = max(1, min(cores, blocks // ADAM_MIN_BLOCKS))
+    k = max(1, min(threads, blocks // ADAM_MIN_BLOCKS))
     edges = [i * blocks // k * ADAM_BLOCK for i in range(k)] + [n]
     return list(zip(edges[:-1], edges[1:]))
 
@@ -404,14 +428,17 @@ def adam_step(model: MlpModel, grads: np.ndarray, state: AdamState,
     Per element, in this order of operations:
         m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
         p -= (lr*(m/corr1)) / (sqrt(v/corr2) + eps)
-    The flat vectors are split into ``_adam_ranges``, one per core in the
-    process's affinity mask (so ``taskset -c 0`` gives one range).  The
-    calling thread walks the first range and a short-lived thread each
-    other one; all are joined before this returns, and an exception in
-    any is raised here.  Each range is walked ``ADAM_BLOCK`` elements at a
-    time through its own two scratch blocks, so every operand stays in
-    cache between the operations and no whole-vector temporary is made.
-    The update is elementwise, so the bits do not depend on the split.
+    The flat vectors are split into ``_adam_ranges``, one per
+    ``_adam_threads``: with BLAS on one thread a two-core machine gets two
+    ranges, and at OpenBLAS's default thread count, or under
+    ``taskset -c 0``, there is one.  The calling thread walks the first
+    range and a short-lived thread each other one, or the caller itself
+    where no thread can be started; all are joined before this returns,
+    and an exception in any is raised here.  Each range is walked
+    ``ADAM_BLOCK`` elements at a time through its own two scratch blocks,
+    so every operand stays in cache between the operations and no
+    whole-vector temporary is made.  The update is elementwise, so the
+    bits do not depend on the split.
     """
     if not lr > 0:
         raise ValidationError(f"learning rate must be positive, got {lr}")
@@ -419,7 +446,7 @@ def adam_step(model: MlpModel, grads: np.ndarray, state: AdamState,
     state.t += 1
     args = (model.params, grads, state.m, state.v, lr,
             1.0 - ADAM_BETA1**state.t, 1.0 - ADAM_BETA2**state.t)
-    first, *rest = _adam_ranges(model.params.size)
+    first, *rest = _adam_ranges(model.params.size, _adam_threads())
     errors: list[BaseException] = []
 
     def walk(start: int, stop: int) -> None:
@@ -429,15 +456,17 @@ def adam_step(model: MlpModel, grads: np.ndarray, state: AdamState,
             errors.append(exc)
 
     workers: list[threading.Thread] = []
-    try:
-        for start, stop in rest:
-            worker = threading.Thread(target=walk, args=(start, stop))
+    for start, stop in rest:
+        worker = threading.Thread(target=walk, args=(start, stop))
+        try:
             worker.start()
+        except RuntimeError:  # no thread to be had: the range is walked here
+            walk(start, stop)
+        else:
             workers.append(worker)
-        _adam_walk(*args, *first)
-    finally:
-        for worker in workers:
-            worker.join()
+    walk(*first)
+    for worker in workers:
+        worker.join()
     if errors:
         raise errors[0]
     return model, state

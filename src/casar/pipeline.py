@@ -197,7 +197,7 @@ def _fit(
     generator seeded with ``config.seed``.  Returns one mean loss per
     epoch, averaged over all rows.  The working set is fixed: parameters,
     one gradient vector, Adam's moments, two 256 KB Adam scratch blocks
-    per usable core, and one mini-batch with its activations, dropped
+    per Adam thread, and one mini-batch with its activations, dropped
     before the next is drawn.  A ``NumericError`` is re-raised naming the
     network and the epoch and step (from 0).
     """

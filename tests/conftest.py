@@ -37,12 +37,12 @@ def rng():
 
 
 @pytest.fixture()
-def pin_cores(monkeypatch):
-    """``pin_cores(k)`` makes neuralcore see k usable cores, whatever the host has.
+def pin_adam_threads(monkeypatch):
+    """``pin_adam_threads(k)`` makes ``neuralcore._adam_threads`` return k, whatever the host.
 
     ``adam_step`` then splits a long vector into at most k ranges, so a
     test starts at most k - 1 threads.
     """
     def pin(k: int) -> None:
-        monkeypatch.setattr(neuralcore.os, "sched_getaffinity", lambda pid: set(range(k)))
+        monkeypatch.setattr(neuralcore, "_adam_threads", lambda: k)
     return pin

@@ -15,7 +15,9 @@ from casar import neuralcore
 from casar.errors import NumericError, ShapeError, ValidationError
 from casar.neuralcore import (
     ADAM_BLOCK,
+    ADAM_MAX_THREADS,
     ADAM_MIN_BLOCKS,
+    BLAS_THREAD_VARIABLES,
     IDENTITY,
     PRED_CLAMP,
     RELU,
@@ -468,26 +470,27 @@ def test_adam_validation():
         adam_step(model, np.zeros(0), init_adam(model), lr=0.1)
 
 
-def _adam_run(cores: int, pin_cores) -> bytes:
-    """Params, m and v bytes after three Adam steps seen from ``cores`` cores."""
-    pin_cores(cores)
+def _adam_run(threads: int, pin_adam_threads) -> bytes:
+    """Params, m and v bytes after three Adam steps on ``threads`` threads."""
+    pin_adam_threads(threads)
     model = init_model([2100, 250, 9], seed=4)
     n = model.params.size
     # just above the floor for four ranges, with a ragged tail
     assert 4 * ADAM_MIN_BLOCKS * ADAM_BLOCK < n < (4 * ADAM_MIN_BLOCKS + 1) * ADAM_BLOCK
-    assert len(neuralcore._adam_ranges(n)) == cores
+    assert len(neuralcore._adam_ranges(n, threads)) == threads
     state = init_adam(model)
     rng = np.random.default_rng(5)
     for lr in (1e-3, 5e-4, 2e-3):
         adam_step(model, rng.normal(size=n), state, lr)
+    assert state.t == 3
     return model.parameter_bytes() + state.m.tobytes() + state.v.tobytes()
 
 
-def test_adam_step_bits_do_not_depend_on_the_core_count(pin_cores):
+def test_adam_step_bits_do_not_depend_on_the_thread_count(pin_adam_threads):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # threads interleave as often as they can
     try:
-        runs = [_adam_run(cores, pin_cores) for cores in (1, 2, 3, 4)]
+        runs = [_adam_run(threads, pin_adam_threads) for threads in (1, 2, 3, 4)]
     finally:
         sys.setswitchinterval(interval)
     assert runs[1:] == runs[:1] * 3
@@ -496,9 +499,8 @@ def test_adam_step_bits_do_not_depend_on_the_core_count(pin_cores):
 @pytest.mark.parametrize("n, ranges", [
     (1, 1), (2 * ADAM_MIN_BLOCKS * ADAM_BLOCK - 1, 1),
     (2 * ADAM_MIN_BLOCKS * ADAM_BLOCK + 1, 2), (100 * ADAM_BLOCK, 3)])
-def test_adam_ranges_cover_the_vector_in_whole_blocks(pin_cores, n, ranges):
-    pin_cores(3)
-    split = neuralcore._adam_ranges(n)
+def test_adam_ranges_cover_the_vector_in_whole_blocks(n, ranges):
+    split = neuralcore._adam_ranges(n, 3)
     assert len(split) == ranges
     assert split[0][0] == 0 and split[-1][1] == n
     assert all(stop == start for (_, stop), (start, _) in zip(split, split[1:]))
@@ -506,8 +508,28 @@ def test_adam_ranges_cover_the_vector_in_whole_blocks(pin_cores, n, ranges):
     assert ranges == 1 or all(stop - start >= ADAM_MIN_BLOCKS * ADAM_BLOCK for start, stop in split)
 
 
-def test_adam_step_raises_what_a_worker_raises(pin_cores, monkeypatch):
-    pin_cores(2)
+@pytest.mark.parametrize("cores, env, threads", [
+    (2, {}, 1),  # OpenBLAS's default: one thread per core, none left idle
+    (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+    (2, {"OMP_NUM_THREADS": "1"}, 2),
+    (2, {"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 2),
+    (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+    (2, {"OPENBLAS_NUM_THREADS": "8"}, 1),
+    (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),  # taskset -c 0
+    (8, {"OPENBLAS_NUM_THREADS": "1"}, ADAM_MAX_THREADS),
+    (8, {"OPENBLAS_NUM_THREADS": "7"}, 2),
+    (8, {}, 1)])
+def test_adam_threads_use_the_cores_blas_leaves_idle(monkeypatch, cores, env, threads):
+    monkeypatch.setattr(neuralcore.os, "sched_getaffinity", lambda pid: set(range(cores)))
+    for name in BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert neuralcore._adam_threads() == threads
+
+
+def test_adam_step_raises_what_a_worker_raises(pin_adam_threads, monkeypatch):
+    pin_adam_threads(2)
     walk = neuralcore._adam_walk
     failure = ArithmeticError("worker failed")
 
@@ -523,6 +545,16 @@ def test_adam_step_raises_what_a_worker_raises(pin_cores, monkeypatch):
         adam_step(model, np.ones_like(model.params), init_adam(model), lr=1e-3)
     assert info.value is failure
     assert threading.active_count() == threads
+
+
+def test_adam_step_walks_a_range_itself_when_no_thread_starts(pin_adam_threads, monkeypatch):
+    whole = _adam_run(1, pin_adam_threads)
+
+    def no_thread(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    assert _adam_run(2, pin_adam_threads) == whole
 
 
 # ---------------------------------------------------------------------------

@@ -358,13 +358,13 @@ def test_fit_fills_one_gradient_vector(tiny_synth, tiny_config, monkeypatch):
     assert not np.shares_memory(filled[0], module.model.params)
 
 
-def test_fit_peaks_at_the_training_bytes_per_parameter(pin_cores):
+def test_fit_peaks_at_the_training_bytes_per_parameter(pin_adam_threads):
     dims = [2048, 512, 512, 6]  # a g-like net: wide input, narrow head
     config = ActionModuleConfig(hidden_width=512, epochs=2, base_lr=1e-3, lr_period_epochs=1,
                                 batch_size=32, action_head="softmax_ce")
-    cores = 2
-    pin_cores(cores)
-    assert len(nn._adam_ranges(nn.parameter_count(dims))) == cores
+    threads = 2
+    pin_adam_threads(threads)
+    assert len(nn._adam_ranges(nn.parameter_count(dims), threads)) == threads
     tracemalloc.start()
     try:
         rng = np.random.default_rng(0)
@@ -377,12 +377,12 @@ def test_fit_peaks_at_the_training_bytes_per_parameter(pin_cores):
         tracemalloc.stop()
     batch = config.batch_size * dims[0] * 8
     # two 256 KB Adam scratch blocks per range, and one batch's activations
-    slack = (1 << 20) + (cores - 1) * 2 * nn.ADAM_BLOCK * 8
+    slack = (1 << 20) + (threads - 1) * 2 * nn.ADAM_BLOCK * 8
     bound = nn.TRAIN_BYTES_PER_PARAMETER * nn.parameter_count(dims) + X.nbytes + batch + slack
     assert peak <= bound, f"peak {peak} exceeds {bound}"
 
 
-def test_fit_gives_the_same_bits_on_one_core_and_two(pin_cores):
+def test_fit_gives_the_same_bits_on_one_adam_thread_and_two(pin_adam_threads):
     dims = [1024, 256, 256, 6]  # a g-like net long enough for two Adam ranges
     config = ActionModuleConfig(hidden_width=256, epochs=2, base_lr=1e-3, lr_period_epochs=1,
                                 batch_size=16, action_head="softmax_ce")
@@ -390,9 +390,9 @@ def test_fit_gives_the_same_bits_on_one_core_and_two(pin_cores):
     X = rng.normal(size=(48, dims[0]))
     labels = rng.integers(0, dims[-1], size=len(X))
     runs = []
-    for cores in (1, 2):
-        pin_cores(cores)
-        assert len(nn._adam_ranges(nn.parameter_count(dims))) == cores
+    for threads in (1, 2):
+        pin_adam_threads(threads)
+        assert len(nn._adam_ranges(nn.parameter_count(dims), threads)) == threads
         model = nn.init_model(dims, seed=0, output_activation=nn.IDENTITY)
         history = _fit(model, X, labels, nn.softmax_action_loss, config)
         runs.append((history, model.parameter_bytes()))
