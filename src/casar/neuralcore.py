@@ -373,10 +373,8 @@ def _adam_threads() -> int:
         cores = os.cpu_count() or 1
     blas = cores
     for name in BLAS_THREAD_VARIABLES:
-        try:
-            count = int(os.environ.get(name, ""))
-        except ValueError:
-            continue
+        value = os.environ.get(name, "")
+        count = int(value) if value.isdigit() else 0
         if count > 0:
             blas = min(count, cores)
             break
