@@ -5,6 +5,7 @@ configs; their formula and bounds are checked here too.
 """
 
 import math
+import os
 import sys
 import threading
 
@@ -520,7 +521,8 @@ def test_adam_ranges_cover_the_vector_in_whole_blocks(n, ranges):
     (8, {"OPENBLAS_NUM_THREADS": "7"}, 2),
     (8, {}, 1)])
 def test_adam_threads_use_the_cores_blas_leaves_idle(monkeypatch, cores, env, threads):
-    monkeypatch.setattr(neuralcore.os, "sched_getaffinity", lambda pid: set(range(cores)))
+    # process-wide for the test: neuralcore reads the mask through the os module
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
     for name in BLAS_THREAD_VARIABLES:
         monkeypatch.delenv(name, raising=False)
     for name, value in env.items():
