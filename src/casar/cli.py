@@ -50,8 +50,8 @@ from .pipeline import (
     derive_contact_dataset,
     load_checkpoint,
     load_checkpoint_meta,
-    predict_action,
     save_checkpoint,
+    score_clips,
     train_action_module,
     train_contact_module,
 )
@@ -322,13 +322,13 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     contact, action, dc = _load_pipeline(args, _load_config(args.config))
     clips = load_clips(args.clip, dc)
-    for clip in clips:
-        idx, out = predict_action(contact, action, clip, dc)
-        probs = nn.softmax(out) if action.config.action_head == "softmax_ce" else out
+    scores = score_clips(contact, action, clips, dc)
+    probs = nn.softmax(scores) if action.config.action_head == "softmax_ce" else scores
+    for clip, idx, row in zip(clips, np.argmax(scores, axis=1), probs):
         print(json.dumps({
             "clip_id": clip.clip_id,
-            "predicted_class": idx,
-            "probabilities": [float(p) for p in probs],
+            "predicted_class": int(idx),
+            "probabilities": [float(p) for p in row],
         }))
     return 0
 

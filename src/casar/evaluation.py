@@ -23,10 +23,10 @@ from .pipeline import (
     ActionModuleConfig,
     TrainedActionModule,
     TrainedContactModule,
-    clip_features,
+    predict_contact,
+    score_clips,
     train_action_module,
 )
-from . import neuralcore as nn
 
 ABLATION_VARIANTS = (
     ("baseline", dict(mask_contact=True, mask_distant=True)),
@@ -34,8 +34,6 @@ ABLATION_VARIANTS = (
     ("distant_only", dict(mask_contact=True, mask_distant=False)),
     ("contact_distant", dict(mask_contact=False, mask_distant=False)),
 )
-
-EVAL_BLOCK_ROWS = 4096  # rows per forward pass of f or g in evaluate_pipeline
 
 
 @dataclass(frozen=True)
@@ -135,38 +133,25 @@ def evaluate_pipeline(
 ) -> EvalReport:
     """Score action classification on clips and contact prediction on frames.
 
-    g scores the stacked clip features, with ties going to the lowest
-    class index as in ``predict_action``.  Contact accuracy uses the raw
-    (un-resampled) frames in ``contact_samples``.  Both networks run in
-    blocks of ``EVAL_BLOCK_ROWS`` rows so that memory stays bounded on
-    large test sets.  Pass an empty list when no ground-truth targets
-    exist: the per-object table is then empty and the contact averages
-    are reported as nan.
+    ``score_clips`` scores the clips in blocks, so beside the scores memory
+    holds one block of f rows and one block of clip features; ties go to
+    the lowest class index as in ``predict_action``.  Contact accuracy runs
+    f on the raw (un-resampled) frames in ``contact_samples``, one row per
+    frame.  Pass an empty list when no ground-truth targets exist: the
+    per-object table is then empty and the contact averages are nan.
     """
     if not clips:
         raise ValidationError("cannot evaluate over zero clips")
-    features = np.stack([clip_features(c, contact, action.config, data_config) for c in clips])
-    scores = np.vstack([
-        nn.forward(action.model, features[start:start + EVAL_BLOCK_ROWS])[0]
-        for start in range(0, len(clips), EVAL_BLOCK_ROWS)
-    ])
-    preds = np.argmax(scores, axis=1)
+    preds = np.argmax(score_clips(contact, action, clips, data_config), axis=1)
     labels = [c.action_label for c in clips]
     top1 = action_accuracy(preds, labels)
     confusion = confusion_matrix(preds, labels, data_config.action_class_count)
 
     if contact_samples and contact is not None:
-        probs = np.vstack([
-            nn.forward(contact.model, np.stack([
-                encode_frame(s.frame, data_config)
-                for s in contact_samples[start:start + EVAL_BLOCK_ROWS]
-            ]))[0]
-            for start in range(0, len(contact_samples), EVAL_BLOCK_ROWS)
-        ])
-        objects = [s.frame.object.label_id for s in contact_samples]
+        frames = np.stack([encode_frame(s.frame, data_config) for s in contact_samples])
         rows, avg_c, avg_d = contact_accuracy_by_object(
-            probs, [s.target for s in contact_samples], objects
-        )
+            predict_contact(contact, frames), [s.target for s in contact_samples],
+            [s.frame.object.label_id for s in contact_samples])
     else:
         rows, avg_c, avg_d = (), float("nan"), float("nan")
     return EvalReport(

@@ -53,6 +53,7 @@ CHECKPOINT_VERSION = 1
 _ACT_CODES = {nn.RELU: 0, nn.SIGMOID: 1, nn.IDENTITY: 2}
 _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
 _MAX_LAYERS = 64
+SCORE_BLOCK_ROWS = 4096  # rows per forward of f outside training; g's clip blocks follow
 
 
 def _check_fit_fields(config) -> None:
@@ -256,51 +257,47 @@ def train_contact_module(
     return TrainedContactModule(model=model, config=config), history
 
 
-def predict_contact(module: TrainedContactModule, frame_vec: np.ndarray) -> np.ndarray:
-    """Per-frame contact/distant probabilities for one encoded frame."""
-    v = np.asarray(frame_vec, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeError(f"frame vector has shape {v.shape}; expected one 1-D vector")
-    out, _ = nn.forward(module.model, v[None])  # forward checks the width
-    return out[0]
+def predict_contact(module: TrainedContactModule, rows: np.ndarray) -> np.ndarray:
+    """f's outputs for a ``(frames, width)`` matrix, one forward per ``SCORE_BLOCK_ROWS`` rows."""
+    out = np.empty((len(rows), module.model.layer_dims[-1]))
+    for start in range(0, len(rows), SCORE_BLOCK_ROWS):
+        block = slice(start, start + SCORE_BLOCK_ROWS)
+        out[block] = nn.forward(module.model, rows[block])[0]
+    return out
 
 
 def clip_features(
-    clip: ActionClip,
+    clips: list[ActionClip],
     contact: TrainedContactModule | None,
     config: ActionModuleConfig,
     data_config: DatasetConfig,
 ) -> np.ndarray:
-    """Resample a clip and build the flat vector g consumes.
+    """Resample clips and build the ``(clips, width)`` matrix g consumes.
 
-    With ``augment_contact`` the frozen contact module runs on every
-    resampled frame and its outputs (optionally binarized, optionally
-    masked by half) are appended per frame; otherwise the plain clip
-    encoding is returned.
+    With ``augment_contact``, f runs on all the resampled frames at once and its
+    outputs (optionally binarized, optionally masked by half) follow each
+    frame's encoding; otherwise a row is the plain clip encoding.
     """
     if config.augment_contact and contact is None:
         raise ValidationError("augment_contact requires a trained contact module")
-    n_f = data_config.frames_per_clip
-    rows = encode_clip(resample_frames(clip, n_f), data_config)
-    if not config.augment_contact:
-        return rows
-    rows = rows.reshape(n_f, data_config.frame_dim)
-    probs, _ = nn.forward(contact.model, rows)
-    if probs.shape[1] != data_config.contact_dim:
-        raise ShapeError(
-            f"contact module emits {probs.shape[1]} values, config expects "
-            f"{data_config.contact_dim}"
-        )
-    if config.binarize_contact:
-        probs = (probs >= 0.5).astype(np.float64)
-    half = data_config.joint_count
-    if config.mask_contact or config.mask_distant:
-        probs = probs.copy()
+    n_f, fd = data_config.frames_per_clip, data_config.frame_dim
+    width = data_config.augmented_frame_dim if config.augment_contact else fd
+    X = np.empty((len(clips), n_f, width))
+    for i, clip in enumerate(clips):
+        X[i, :, :fd] = encode_clip(resample_frames(clip, n_f), data_config).reshape(n_f, fd)
+    if config.augment_contact:
+        if contact.model.layer_dims[-1] != data_config.contact_dim:
+            raise ShapeError(f"contact module emits {contact.model.layer_dims[-1]} values, "
+                             f"config expects {data_config.contact_dim}")
+        probs = X[:, :, fd:]  # a view: f's outputs land in X
+        probs[...] = predict_contact(contact, X[:, :, :fd].reshape(-1, fd)).reshape(probs.shape)
+        if config.binarize_contact:
+            probs[...] = probs >= 0.5
         if config.mask_contact:
-            probs[:, :half] = 0.0
+            probs[:, :, :data_config.joint_count] = 0.0
         if config.mask_distant:
-            probs[:, half:] = 0.0
-    return np.hstack([rows, probs]).ravel()
+            probs[:, :, data_config.joint_count:] = 0.0
+    return X.reshape(len(clips), n_f * width)
 
 
 def train_action_module(
@@ -330,7 +327,7 @@ def train_action_module(
     nn.check_training_memory(dims)
 
     digest_before = contact.parameter_digest() if contact is not None else None
-    X = np.stack([clip_features(c, contact, config, data_config) for c in clips])
+    X = clip_features(clips, contact, config, data_config)
 
     head_activation = nn.SIGMOID if config.action_head == "sigmoid_ce" else nn.IDENTITY
     model = nn.init_model(dims, seed=config.seed, output_activation=head_activation)
@@ -341,6 +338,25 @@ def train_action_module(
     return TrainedActionModule(model=model, config=config), history
 
 
+def score_clips(
+    contact: TrainedContactModule | None,
+    action: TrainedActionModule,
+    clips: list[ActionClip],
+    data_config: DatasetConfig,
+) -> np.ndarray:
+    """g's raw outputs, one row per clip.
+
+    Features are built and scored for ``SCORE_BLOCK_ROWS // frames_per_clip`` clips at a time.
+    """
+    per_block = max(1, SCORE_BLOCK_ROWS // data_config.frames_per_clip)
+    scores = np.empty((len(clips), action.model.layer_dims[-1]))
+    for start in range(0, len(clips), per_block):
+        block = slice(start, start + per_block)
+        X = clip_features(clips[block], contact, action.config, data_config)
+        scores[block] = nn.forward(action.model, X)[0]
+    return scores
+
+
 def predict_action(
     contact: TrainedContactModule | None,
     action: TrainedActionModule,
@@ -348,9 +364,8 @@ def predict_action(
     data_config: DatasetConfig,
 ) -> tuple[int, np.ndarray]:
     """Class index (argmax, lowest index wins ties) and g's raw outputs."""
-    x = clip_features(clip, contact, action.config, data_config)
-    out, _ = nn.forward(action.model, x[None])  # forward checks the width
-    return int(np.argmax(out[0])), out[0]
+    out = score_clips(contact, action, [clip], data_config)[0]
+    return int(np.argmax(out)), out
 
 
 # ---------------------------------------------------------------------------

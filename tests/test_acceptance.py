@@ -255,9 +255,9 @@ def test_c5_pipeline_contracts(capfd, tiny_synth, tiny_config, tmp_path):
     ckpt = tmp_path / "g.ckpt"
     save_checkpoint(g1.model, ckpt)
     loaded = load_checkpoint(ckpt)
-    x = clip_features(clips[0], f1, g_cfg, tiny_config)
-    orig, _ = nn.forward(g1.model, x[None])
-    back, _ = nn.forward(loaded, x[None])
+    x = clip_features(clips[:1], f1, g_cfg, tiny_config)
+    orig, _ = nn.forward(g1.model, x)
+    back, _ = nn.forward(loaded, x)
     round_trip_err = float(np.abs(orig - back).max())
     ckpt_ok = round_trip_err <= 1e-6
 
@@ -316,8 +316,7 @@ def test_c7_inference_latency_soft(capfd):
     timings = []
     for _ in range(5):
         t0 = time.perf_counter()
-        for frame in clip.frames:
-            predict_contact(contact, encode_frame(frame, dc))
+        predict_contact(contact, np.stack([encode_frame(frame, dc) for frame in clip.frames]))
         predict_action(contact, action, clip, dc)
         timings.append(time.perf_counter() - t0)
     best_ms = min(timings) * 1e3

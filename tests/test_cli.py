@@ -5,12 +5,20 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import casar.cli
 from casar.cli import build_parser, main
 from casar.datamodel import DatasetConfig
-from casar.pipeline import ActionModuleConfig, ContactModuleConfig, load_checkpoint_meta
+from casar.io import load_clips
+from casar.neuralcore import softmax
+from casar.pipeline import (
+    ActionModuleConfig,
+    ContactModuleConfig,
+    load_checkpoint_meta,
+    predict_action,
+)
 
 SMALL_CFG = {
     "dataset": {"action_class_count": 4},
@@ -187,6 +195,40 @@ def test_predict_emits_json_lines(workspace, capsys):
         assert 0 <= row["predicted_class"] < 4
         assert len(row["probabilities"]) == 4
         assert all(0.0 <= p <= 1.0 for p in row["probabilities"])
+
+
+def _predict(workspace, clip_path, capsys) -> str:
+    assert main([
+        "predict",
+        "--clip", str(clip_path),
+        "--contact-ckpt", str(workspace / "f.ckpt"),
+        "--action-ckpt", str(workspace / "g.ckpt"),
+        "--config", str(workspace / "config.json"),
+    ]) == 0
+    return capsys.readouterr().out
+
+
+def test_predict_on_an_empty_clip_file_prints_nothing(workspace, tmp_path, capsys):
+    empty = tmp_path / "clips.jsonl"
+    empty.write_text("")
+    assert _predict(workspace, empty, capsys) == ""
+
+
+def test_predict_reruns_byte_identical_and_agrees_with_predict_action(workspace, capsys):
+    clips_path = workspace / "data" / "clips.jsonl"
+    out = _predict(workspace, clips_path, capsys)
+    assert _predict(workspace, clips_path, capsys) == out
+    # the file is scored in one stacked pass; one clip alone may differ in the last bits
+    contact, _ = casar.cli._load_module(workspace / "f.ckpt", ContactModuleConfig)
+    action, _ = casar.cli._load_module(workspace / "g.ckpt", ActionModuleConfig)
+    dc = DatasetConfig(action_class_count=4)
+    clips = load_clips(clips_path, dc)
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [r["clip_id"] for r in rows] == [c.clip_id for c in clips]
+    for row, clip in zip(rows, clips):
+        idx, scores = predict_action(contact, action, clip, dc)
+        assert row["predicted_class"] == idx
+        np.testing.assert_allclose(row["probabilities"], softmax(scores), rtol=0, atol=1e-9)
 
 
 def test_manifest_carries_the_run_config(workspace):

@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from casar import neuralcore as nn
 from casar.errors import DataIOError, ShapeError, ValidationError
 from casar.evaluation import (
     ABLATION_VARIANTS,
-    EVAL_BLOCK_ROWS,
     AblationRow,
     action_accuracy,
     confusion_matrix,
@@ -25,10 +25,12 @@ from casar.evaluation import (
 )
 from casar.geometry import ContactMap
 from casar.pipeline import (
+    SCORE_BLOCK_ROWS,
     ActionModuleConfig,
     ContactModuleConfig,
     clip_features,
     predict_action,
+    score_clips,
     train_action_module,
     train_contact_module,
 )
@@ -228,25 +230,53 @@ def test_frames_are_encoded_once_and_scored_in_blocks(tiny_synth, tiny_config, s
     f, g = staged
     encodes = _count_calls(monkeypatch, datamodel.encode_frame)
     forwards = _count_calls(monkeypatch, nn.forward)
-    clip_features(clips[0], f, g.config, tiny_config)
+    clip_features(clips[:1], f, g.config, tiny_config)
     assert len(encodes) == tiny_config.frames_per_clip
-    assert len(contacts) < EVAL_BLOCK_ROWS
+    n_f = tiny_config.frames_per_clip
+    assert len(contacts) < SCORE_BLOCK_ROWS and len(clips) * n_f <= SCORE_BLOCK_ROWS
     forwards.clear()
     report = evaluate_pipeline(f, g, clips, contacts, tiny_config)
-    # f once per clip inside clip_features, then g once and f once on the stacks
-    assert len(forwards) == len(clips) + 2
+    # one block of clips: f once on its frames and g once on its features,
+    # then f once on the contact frames
+    assert len(forwards) == 3
     preds = [predict_action(f, g, c, tiny_config)[0] for c in clips]
     np.testing.assert_array_equal(
         report.confusion,
         confusion_matrix(preds, [c.action_label for c in clips], tiny_config.action_class_count))
-    # smaller blocks: one forward per block, and the same report
+    # smaller blocks: one clip per block, f once per 5 of its frames and g
+    # once, then f once per 5 contact frames; and the same report
     forwards.clear()
-    monkeypatch.setattr("casar.evaluation.EVAL_BLOCK_ROWS", 5)
+    monkeypatch.setattr("casar.pipeline.SCORE_BLOCK_ROWS", 5)
     blocked = evaluate_pipeline(f, g, clips, contacts, tiny_config)
-    assert len(forwards) == (len(clips) + math.ceil(len(clips) / 5)
+    assert len(forwards) == (len(clips) * (math.ceil(n_f / 5) + 1)
                              + math.ceil(len(contacts) / 5))
     assert blocked.per_object == report.per_object
     np.testing.assert_array_equal(blocked.confusion, report.confusion)
+
+
+def test_block_boundaries_change_no_feature_or_report(tiny_synth, tiny_config, staged,
+                                                      monkeypatch):
+    clips, _, contacts = tiny_synth
+    f, g = staged
+    raw = replace(g.config, binarize_contact=False)
+    preds = [predict_action(f, g, c, tiny_config)[0] for c in clips]
+    runs = []
+    # one clip's frames per block, less than a clip (one clip per g block), the default
+    for rows in (tiny_config.frames_per_clip, 5, SCORE_BLOCK_ROWS):
+        monkeypatch.setattr("casar.pipeline.SCORE_BLOCK_ROWS", rows)
+        np.testing.assert_array_equal(
+            np.argmax(score_clips(f, g, clips, tiny_config), axis=1), preds)
+        runs.append((clip_features(clips, f, g.config, tiny_config),
+                     clip_features(clips, f, raw, tiny_config),
+                     evaluate_pipeline(f, g, clips, contacts, tiny_config)))
+    features, raw_features, report = runs[0]
+    for other, other_raw, other_report in runs[1:]:
+        np.testing.assert_array_equal(other, features)
+        # BLAS may pick another kernel for another row count, so a raw f
+        # output may move in its last bit; the binarized features above may not
+        np.testing.assert_allclose(other_raw, raw_features, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(other_report.confusion, report.confusion)
+        assert replace(other_report, confusion=None) == replace(report, confusion=None)
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +291,6 @@ def test_run_ablation_rows_and_determinism(tiny_synth, tiny_config, staged):
     assert all(isinstance(r, AblationRow) for r in rows)
     assert all(0.0 <= r.accuracy <= 1.0 for r in rows)
     # the baseline row is exactly a both-masked training run
-    from dataclasses import replace
-
     masked = replace(FAST_ACTION, mask_contact=True, mask_distant=True)
     g_masked, _ = train_action_module(clips, f, masked, tiny_config)
     preds = [predict_action(f, g_masked, c, tiny_config)[0] for c in clips]

@@ -150,17 +150,17 @@ def test_train_contact_rejects_empty(tiny_config):
 
 def test_predict_contact_outputs_probabilities(tiny_config, trained_contact):
     module, _ = trained_contact
-    vec = np.linspace(-0.5, 0.5, tiny_config.frame_dim)
-    out = predict_contact(module, vec)
-    assert out.shape == (tiny_config.contact_dim,)
+    rows = np.linspace(-0.5, 0.5, 3 * tiny_config.frame_dim).reshape(3, tiny_config.frame_dim)
+    out = predict_contact(module, rows)
+    assert out.shape == (3, tiny_config.contact_dim)
     assert np.all((out > 0.0) & (out < 1.0))
-    np.testing.assert_array_equal(out, predict_contact(module, vec))
+    np.testing.assert_array_equal(out, predict_contact(module, rows))
 
 
 def test_predict_contact_rejects_wrong_width(trained_contact):
     module, _ = trained_contact
     with pytest.raises(ShapeError):
-        predict_contact(module, np.zeros(10))
+        predict_contact(module, np.zeros((1, 10)))
 
 
 # ---------------------------------------------------------------------------
@@ -171,22 +171,23 @@ def test_clip_feature_widths(tiny_synth, tiny_config, trained_contact):
     clips, _, _ = tiny_synth
     module, _ = trained_contact
     plain_cfg = ActionModuleConfig(augment_contact=False)
-    plain = clip_features(clips[0], None, plain_cfg, tiny_config)
-    assert plain.shape == (6304,)
-    aug = clip_features(clips[0], module, FAST_ACTION, tiny_config)
-    assert aug.shape == (8992,)
+    plain = clip_features(clips[:2], None, plain_cfg, tiny_config)
+    assert plain.shape == (2, 6304)
+    aug = clip_features(clips[:2], module, FAST_ACTION, tiny_config)
+    assert aug.shape == (2, 8992)
+    assert clip_features([], module, FAST_ACTION, tiny_config).shape == (0, 8992)
 
 
 def test_clip_features_layout_and_binarization(tiny_synth, tiny_config, trained_contact):
     clips, _, _ = tiny_synth
     module, _ = trained_contact
     clip = clips[0]
-    aug = clip_features(clip, module, FAST_ACTION, tiny_config)
+    aug = clip_features([clip], module, FAST_ACTION, tiny_config)
     per_frame = aug.reshape(tiny_config.frames_per_clip, tiny_config.augmented_frame_dim)
     frame_part = per_frame[:, : tiny_config.frame_dim]
     contact_part = per_frame[:, tiny_config.frame_dim:]
     plain = clip_features(
-        clip, None, ActionModuleConfig(augment_contact=False), tiny_config
+        [clip], None, ActionModuleConfig(augment_contact=False), tiny_config
     ).reshape(tiny_config.frames_per_clip, tiny_config.frame_dim)
     np.testing.assert_array_equal(frame_part, plain)
     assert set(np.unique(contact_part)) <= {0.0, 1.0}
@@ -194,7 +195,7 @@ def test_clip_features_layout_and_binarization(tiny_synth, tiny_config, trained_
     raw_cfg = ActionModuleConfig(
         action_head="softmax_ce", binarize_contact=False, seed=1
     )
-    raw = clip_features(clip, module, raw_cfg, tiny_config).reshape(
+    raw = clip_features([clip], module, raw_cfg, tiny_config).reshape(
         tiny_config.frames_per_clip, tiny_config.augmented_frame_dim
     )[:, tiny_config.frame_dim:]
     assert np.all((raw > 0.0) & (raw < 1.0))
@@ -209,7 +210,7 @@ def test_masks_zero_the_right_halves(tiny_synth, tiny_config, trained_contact):
     fd = tiny_config.frame_dim
 
     def tail(cfg):
-        feats = clip_features(clip, module, cfg, tiny_config)
+        feats = clip_features([clip], module, cfg, tiny_config)
         return feats.reshape(tiny_config.frames_per_clip, -1)[:, fd:]
 
     both = tail(FAST_ACTION)
@@ -228,7 +229,7 @@ def test_masks_zero_the_right_halves(tiny_synth, tiny_config, trained_contact):
 def test_augment_without_module_is_rejected(tiny_synth, tiny_config):
     clips, _, _ = tiny_synth
     with pytest.raises(ValidationError):
-        clip_features(clips[0], None, FAST_ACTION, tiny_config)
+        clip_features(clips[:1], None, FAST_ACTION, tiny_config)
 
 
 def test_clip_features_appends_f_outputs_per_frame(tiny_synth, tiny_config, trained_contact):
@@ -237,8 +238,8 @@ def test_clip_features_appends_f_outputs_per_frame(tiny_synth, tiny_config, trai
     n_f, fd = tiny_config.frames_per_clip, tiny_config.frame_dim
     rows = encode_clip(resample_frames(clips[0], n_f), tiny_config).reshape(n_f, fd)
     raw_cfg = ActionModuleConfig(action_head="softmax_ce", binarize_contact=False, seed=1)
-    aug = clip_features(clips[0], module, raw_cfg, tiny_config)
-    assert aug.shape == (tiny_config.augmented_clip_dim,)
+    aug = clip_features(clips[:1], module, raw_cfg, tiny_config)
+    assert aug.shape == (1, tiny_config.augmented_clip_dim)
     per_frame = aug.reshape(n_f, tiny_config.augmented_frame_dim)
     np.testing.assert_array_equal(per_frame[:, :fd], rows)
     np.testing.assert_array_equal(per_frame[:, fd:], nn.forward(module.model, rows)[0])
@@ -249,7 +250,7 @@ def test_clip_features_rejects_wrong_contact_width(tiny_synth, tiny_config):
     wide = nn.init_model([tiny_config.frame_dim, 4, tiny_config.contact_dim + 1], seed=0)
     module = TrainedContactModule(model=wide, config=FAST_CONTACT)
     with pytest.raises(ShapeError):
-        clip_features(clips[0], module, FAST_ACTION, tiny_config)
+        clip_features(clips[:1], module, FAST_ACTION, tiny_config)
 
 
 # ---------------------------------------------------------------------------
