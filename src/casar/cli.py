@@ -25,8 +25,6 @@ from .datamodel import DatasetConfig
 from .errors import (
     CasarError,
     CheckpointError,
-    DataIOError,
-    ParseError,
     ShapeError,
     ValidationError,
 )
@@ -37,6 +35,7 @@ from .io import (
     load_clips,
     load_contact_targets,
     load_meshes,
+    read_json_object,
     write_clips,
     write_contact_targets,
     write_meshes,
@@ -86,18 +85,7 @@ def _print_error(kind: str, message: str) -> None:
 
 
 def _load_config(path) -> dict:
-    if path is None:
-        return {}
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataIOError(f"cannot read config {path}: {exc}") from exc
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"config {path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValidationError(f"config {path}: expected a JSON object at top level")
+    doc = {} if path is None else read_json_object(path, "config")
     unknown = set(doc) - set(_CONFIG_SECTIONS)
     if unknown:
         raise ValidationError(

@@ -36,8 +36,6 @@ _BOTTOM_ROW_TOL = 1e-9
 def as_points(points, name: str = "points") -> np.ndarray:
     """Validate and return an (N, 3) float64 array of finite 3D points."""
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1 and pts.shape == (3,):
-        pts = pts[None, :]
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ShapeError(f"{name}: expected (N, 3) point array, got shape {pts.shape}")
     if not np.isfinite(pts).all():
@@ -160,14 +158,6 @@ def validate_rigid_transform(transform) -> np.ndarray:
     if np.linalg.det(R) <= 0:
         raise ValidationError("rotation block must have positive determinant")
     return T
-
-
-def make_transform(rotation, translation) -> np.ndarray:
-    """Assemble a 4x4 transform from a 3x3 rotation and a translation."""
-    T = np.eye(4)
-    T[:3, :3] = np.asarray(rotation, dtype=np.float64)
-    T[:3, 3] = np.asarray(translation, dtype=np.float64)
-    return validate_rigid_transform(T)
 
 
 def transform_points(transform, points) -> np.ndarray:

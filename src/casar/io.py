@@ -19,9 +19,12 @@ Contact record:
     {"clip_id": str, "frame_index": int, "contact": [0/1 x H*J],
      "distant": [0/1 x H*J]}
 
-Every writer in the package goes through ``atomic_write``: it creates
-the file's parent directory if that is missing, and a file is either left
-as it was or replaced whole.
+Every file the package reads goes through ``_lines``, which refuses a
+line that is not UTF-8, and every parse of its text through ``_record``:
+a file that cannot be read is a ``DataIOError``, and a malformed line a
+``ParseError`` at ``path:line``.  Every writer goes through
+``atomic_write``: it creates the file's parent directory if that is
+missing, and a file is either left as it was or replaced whole.
 """
 
 from __future__ import annotations
@@ -78,34 +81,63 @@ def _require(cond: bool, path, lineno: int, msg: str) -> None:
         raise ParseError(f"{path}:{lineno}: {msg}")
 
 
-@contextmanager
-def _record(path, lineno: int):
-    """A failure to convert or validate inside the block becomes ``ParseError``.
+class _record:
+    """A failure to parse, convert or validate inside the block becomes ``ParseError``.
 
-    This covers numpy's conversion errors (a string coordinate, a ragged
-    list, an integer too large for a float) and the constructors'
-    ``ValidationError``s; the message names ``path:lineno``.
+    This covers the JSON reader's errors (bad syntax, nesting too deep, an
+    integer too long to convert), numpy's and ``float``'s conversion errors
+    and the constructors' ``ValidationError``s; the message names
+    ``path:lineno``.  A class, as a mesh enters one per vertex line.
     """
+
+    def __init__(self, path, lineno: int):
+        self.path, self.lineno = path, lineno
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if (isinstance(exc, (TypeError, ValueError, OverflowError, RecursionError))
+                and not isinstance(exc, ParseError)):
+            raise ParseError(f"{self.path}:{self.lineno}: {exc}") from exc
+
+
+def _lines(path, where=None):
+    """Yield ``(line number, text)`` for each line of a UTF-8 file, one line at a time.
+
+    Errors name ``where``, the path by default.  A bad byte is caught here,
+    not in a ``_record`` per line, which would slow a mesh's many lines.
+    """
+    where, lineno = where or path, 0
     try:
-        yield
-    except ParseError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                yield lineno, raw.decode("utf-8")
+    except OSError as exc:
+        raise DataIOError(f"cannot read {where}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{where}:{lineno}: {exc}") from exc
 
 
 def _load_jsonl(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    yield lineno, json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-    except OSError as exc:
-        raise DataIOError(f"cannot read {path}: {exc}") from exc
+    for lineno, line in _lines(path):
+        if line.strip():
+            with _record(path, lineno):
+                rec = json.loads(line)
+            yield lineno, rec
+
+
+def read_json_object(path, what: str) -> dict:
+    """The JSON object that fills a file, such as a config file or a sidecar.
+
+    Errors name ``what``, the kind of file, and line 1, where the object starts.
+    """
+    where = f"{what} {path}"
+    text = "".join(line for _, line in _lines(path, where))
+    with _record(where, 1):
+        doc = json.loads(text)
+    _require(isinstance(doc, dict), where, 1, "expected a JSON object at top level")
+    return doc
 
 
 _NUMBER_TYPES = {int, float}  # what json.loads makes of a JSON number; bool is not one
@@ -217,23 +249,15 @@ def read_obj_vertices(path) -> np.ndarray:
     Lines starting with any other token are ignored.  Units: meters.
     """
     rows = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                parts = line.split()
-                if not parts or parts[0] != "v":
-                    continue
-                if len(parts) < 4:
-                    raise ParseError(f"{path}:{lineno}: vertex line needs 3 coordinates")
-                try:
-                    xyz = [float(v) for v in parts[1:4]]
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: bad coordinate: {exc}") from exc
-                if not all(np.isfinite(xyz)):
-                    raise ParseError(f"{path}:{lineno}: non-finite coordinate")
-                rows.append(xyz)
-    except OSError as exc:
-        raise DataIOError(f"cannot read mesh file {path}: {exc}") from exc
+    for lineno, line in _lines(path):
+        parts = line.split()
+        if not parts or parts[0] != "v":
+            continue
+        _require(len(parts) >= 4, path, lineno, "vertex line needs 3 coordinates")
+        with _record(path, lineno):
+            xyz = [float(v) for v in parts[1:4]]
+        _require(all(np.isfinite(xyz)), path, lineno, "non-finite coordinate")
+        rows.append(xyz)
     if not rows:
         raise ParseError(f"{path}: no vertex lines found")
     return np.asarray(rows, dtype=np.float64)
@@ -277,6 +301,7 @@ def _bits(raw, path, lineno, name, count):
 def load_contact_targets(path, clips, config: DatasetConfig) -> list[ContactSample]:
     """Load contact targets and join them against their source clips."""
     by_id = {c.clip_id: c for c in clips}
+    first_line = {}
     samples = []
     for lineno, rec in _load_jsonl(path):
         _require(isinstance(rec, dict), path, lineno, "record must be an object")
@@ -288,6 +313,9 @@ def load_contact_targets(path, clips, config: DatasetConfig) -> list[ContactSamp
         _require(type(idx) is int and 0 <= idx < len(clip), path, lineno,
                  f"frame_index {idx!r} is not an int in [0, {len(clip)}) "
                  f"for clip {clip_id!r}")
+        first = first_line.setdefault((clip_id, idx), lineno)
+        _require(first == lineno, path, lineno,
+                 f"repeated record for clip {clip_id!r} frame {idx}, first at line {first}")
         with _record(path, lineno):
             target = ContactMap(
                 contact=_bits(rec.get("contact"), path, lineno, "contact", config.joint_count),

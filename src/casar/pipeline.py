@@ -43,7 +43,7 @@ from .geometry import (
     build_vertex_index,
     label_contact_map,
 )
-from .io import atomic_write
+from .io import atomic_write, read_json_object
 from . import neuralcore as nn
 
 ACTION_HEADS = ("sigmoid_ce", "softmax_ce")
@@ -480,13 +480,4 @@ def _read_checkpoint(fh, path) -> nn.MlpModel:
 
 def load_checkpoint_meta(path) -> dict:
     """Read the JSON sidecar written next to a checkpoint; it must be one JSON object."""
-    meta_path = _sidecar_path(path)
-    try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataIOError(f"cannot read checkpoint sidecar {meta_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"{meta_path}: invalid JSON sidecar: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise CheckpointError(f"{meta_path}: sidecar must be a JSON object")
-    return meta
+    return read_json_object(_sidecar_path(path), "checkpoint sidecar")

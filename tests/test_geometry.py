@@ -16,7 +16,6 @@ from casar.geometry import (
     build_vertex_index,
     expand_bbox_21,
     label_contact_map,
-    make_transform,
     transform_points,
     validate_rigid_transform,
 )
@@ -29,6 +28,14 @@ def brute_force_distances(vertices, queries):
     q = np.asarray(queries, dtype=np.float64)
     diffs = q[:, None, :] - v[None, :, :]
     return np.sqrt((diffs ** 2).sum(axis=2)).min(axis=1)
+
+
+def rigid(rotation, translation):
+    """The 4x4 transform p -> rotation @ p + translation."""
+    T = np.eye(4)
+    T[:3, :3] = rotation
+    T[:3, 3] = translation
+    return T
 
 
 def rotation_from_angles(a, b, c):
@@ -77,7 +84,9 @@ def test_contact_map_matches_brute_force_bits():
 def test_single_point_query_helper():
     verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     index = build_vertex_index(verts)
-    assert index.query_distances([0.25, 0.0, 0.0])[0] == pytest.approx(0.25, abs=1e-15)
+    assert index.query_distances([[0.25, 0.0, 0.0]])[0] == pytest.approx(0.25, abs=1e-15)
+    with pytest.raises(ShapeError):  # one point is a (1, 3) array, not a bare (3,) one
+        index.query_distances([0.25, 0.0, 0.0])
 
 
 def test_index_never_mutates_or_aliases_caller_vertices():
@@ -86,7 +95,7 @@ def test_index_never_mutates_or_aliases_caller_vertices():
     index = build_vertex_index(verts)
     np.testing.assert_array_equal(verts, snapshot)
     verts[:] = 999.0  # the index must hold its own copy
-    assert index.query_distances([0.0, 0.0, 0.0])[0] == 0.0
+    assert index.query_distances([[0.0, 0.0, 0.0]])[0] == 0.0
 
 
 def test_empty_vertex_set_rejected():
@@ -158,7 +167,7 @@ def test_labels_invariant_under_rigid_motion(verts, joints, angles, translation)
     # keep clear of the strict-comparison boundary so fp noise cannot flip a bit
     assume(np.abs(dists - thr.eta_c).min() > 1e-9)
     assume(np.abs(dists - thr.eta_d).min() > 1e-9)
-    T = make_transform(rotation_from_angles(*angles), np.asarray(translation))
+    T = rigid(rotation_from_angles(*angles), np.asarray(translation))
     before = label_contact_map(joints, index, thr)
     after = label_contact_map(
         transform_points(T, joints), build_vertex_index(transform_points(T, verts)), thr
@@ -212,7 +221,7 @@ def test_rigid_transform_validation():
 
 def test_transform_points_applies_rotation_then_translation():
     R = rotation_from_angles(0.0, 0.0, np.pi / 2.0)
-    T = make_transform(R, [1.0, 2.0, 3.0])
+    T = rigid(R, [1.0, 2.0, 3.0])
     out = transform_points(T, np.array([[1.0, 0.0, 0.0]]))
     np.testing.assert_allclose(out, [[1.0, 3.0, 3.0]], atol=1e-12)
 
@@ -220,7 +229,7 @@ def test_transform_points_applies_rotation_then_translation():
 def test_transform_points_preserves_order_and_distances():
     rng = np.random.default_rng(1)
     pts = rng.normal(size=(17, 3))
-    T = make_transform(rotation_from_angles(0.3, -1.1, 2.0), [0.4, -0.2, 0.9])
+    T = rigid(rotation_from_angles(0.3, -1.1, 2.0), [0.4, -0.2, 0.9])
     out = transform_points(T, pts)
     d_before = np.linalg.norm(pts[1:] - pts[:-1], axis=1)
     d_after = np.linalg.norm(out[1:] - out[:-1], axis=1)
@@ -266,7 +275,7 @@ def test_expand_bbox_21_frozen_unit_box():
 def test_expand_bbox_21_equivariant_under_rigid_motion(low, extent, angles, translation):
     lo = np.asarray(low)
     corners = box_corners(lo, lo + np.asarray(extent))
-    T = make_transform(rotation_from_angles(*angles), np.asarray(translation))
+    T = rigid(rotation_from_angles(*angles), np.asarray(translation))
     a = transform_points(T, expand_bbox_21(corners))
     b = expand_bbox_21(transform_points(T, corners))
     np.testing.assert_allclose(a, b, atol=1e-9)
