@@ -293,7 +293,7 @@ def cmd_eval(args) -> int:
     clips = load_clips(data / "clips.jsonl", dc)
     # without contact targets the report's contact accuracies are NaN
     cpath = data / "contacts.jsonl"
-    contacts = load_contact_targets(cpath, clips, dc) if cpath.is_file() else []
+    contacts = load_contact_targets(cpath, clips, dc) if cpath.exists() else []
     report = evaluate_pipeline(contact, action, clips, contacts, dc)
     inputs = {"data": str(args.data), "contact_ckpt": str(args.contact_ckpt),
               "action_ckpt": str(args.action_ckpt)}

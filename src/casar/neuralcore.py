@@ -18,6 +18,7 @@ bits do not depend on the split.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import threading
 from dataclasses import dataclass
@@ -295,8 +296,6 @@ ADAM_EPS = 1e-8
 ADAM_BLOCK = 32768
 ADAM_MIN_BLOCKS = 4  # shortest range given its own thread: ~1 ms of work against ~0.1 ms to start one
 ADAM_MAX_THREADS = 2  # the split was timed on two cores only
-# what numpy's OpenBLAS reads, in this order, for its thread count when it loads
-BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass
@@ -357,27 +356,30 @@ def check_training_memory(layer_dims) -> None:
     check_memory(layer_dims, TRAIN_BYTES_PER_PARAMETER, "training")
 
 
+try:  # numpy's OpenBLAS thread-count controls; without them, a count of None and a no-op
+    _lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    blas_threads = _lib.scipy_openblas_get_num_threads64_
+    blas_threads.argtypes, blas_threads.restype = [], ctypes.c_int
+    set_blas_threads = _lib.scipy_openblas_set_num_threads64_
+    set_blas_threads.argtypes, set_blas_threads.restype = [ctypes.c_int], None
+except (AttributeError, OSError):
+    blas_threads, set_blas_threads = (lambda: None), (lambda count: None)
+
+
 def _adam_threads() -> int:
     """How many threads, the caller's included, one ``adam_step`` may use.
 
     The caller's own, plus each core of the process's affinity mask (else
-    the machine's core count) that BLAS leaves idle, at most
-    ``ADAM_MAX_THREADS``.  numpy's OpenBLAS runs as many threads as the
-    first positive count in ``BLAS_THREAD_VARIABLES``, else one per core,
-    and its helper threads spin on their cores for about 0.1 s after each
-    matrix product, so an Adam thread there would only wait for them.
+    the machine's core count) that BLAS's live thread count leaves idle,
+    at most ``ADAM_MAX_THREADS``; one where BLAS cannot report its count.
+    OpenBLAS's helper threads spin on their cores for about 0.1 s after
+    each matrix product, so an Adam thread there would only wait for them.
     """
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # the affinity call exists only on some platforms
         cores = os.cpu_count() or 1
-    blas = cores
-    for name in BLAS_THREAD_VARIABLES:
-        value = os.environ.get(name, "")
-        count = int(value) if value.isdigit() else 0
-        if count > 0:
-            blas = min(count, cores)
-            break
+    blas = min(blas_threads() or cores, cores)
     return max(1, min(ADAM_MAX_THREADS, cores - blas + 1))
 
 
@@ -427,8 +429,8 @@ def adam_step(model: MlpModel, grads: np.ndarray, state: AdamState,
         m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
         p -= (lr*(m/corr1)) / (sqrt(v/corr2) + eps)
     The flat vectors are split into ``_adam_ranges``, one per
-    ``_adam_threads``: with BLAS on one thread a two-core machine gets two
-    ranges, and at OpenBLAS's default thread count, or under
+    ``_adam_threads``: with BLAS on one thread, as in training, a two-core
+    machine gets two ranges, and with BLAS on both cores, or under
     ``taskset -c 0``, there is one.  The calling thread walks the first
     range and a short-lived thread each other one, or the caller itself
     where no thread can be started; all are joined before this returns,

@@ -53,7 +53,8 @@ CHECKPOINT_VERSION = 1
 _ACT_CODES = {nn.RELU: 0, nn.SIGMOID: 1, nn.IDENTITY: 2}
 _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
 _MAX_LAYERS = 64
-SCORE_BLOCK_ROWS = 4096  # rows per forward of f outside training; g's clip blocks follow
+SCORE_BLOCK_ROWS = 4096  # frames per block of clips that score_clips builds and scores
+F_BLOCK_ROWS = 32  # rows per forward of f outside training: one shape, so a row's bits are its own
 
 
 def _check_fit_fields(config) -> None:
@@ -196,11 +197,12 @@ def _fit(
 
     Each epoch visits the rows in a fresh permutation drawn from a
     generator seeded with ``config.seed``.  Returns one mean loss per
-    epoch, averaged over all rows.  The working set is fixed: parameters,
-    one gradient vector, Adam's moments, two 256 KB Adam scratch blocks
-    per Adam thread, and one mini-batch with its activations, dropped
-    before the next is drawn.  A ``NumericError`` is re-raised naming the
-    network and the epoch and step (from 0).
+    epoch, averaged over all rows.  BLAS runs on one thread, so the bytes
+    do not depend on the caller's count, restored on return.  The working
+    set is fixed: parameters, one gradient vector, Adam's moments, two
+    256 KB Adam scratch blocks per Adam thread, and one mini-batch with its
+    activations, dropped before the next is drawn.  A ``NumericError`` is
+    re-raised naming the network and the epoch and step (from 0).
     """
     net = "contact network f" if isinstance(config, ContactModuleConfig) else "action network g"
     adam = nn.init_adam(model)
@@ -208,24 +210,26 @@ def _fit(
     rng = np.random.default_rng(config.seed)
     n = len(X)
     history: list[float] = []
-    for epoch in range(config.epochs):
-        lr = lr_at(config, epoch)
-        perm = rng.permutation(n)
-        total = 0.0
-        for step, start in enumerate(range(0, n, config.batch_size)):
-            batch = perm[start:start + config.batch_size]
-            try:
+    caller = nn.blas_threads()
+    nn.set_blas_threads(1)
+    try:
+        for epoch in range(config.epochs):
+            lr = lr_at(config, epoch)
+            perm = rng.permutation(n)
+            total = 0.0
+            for step, start in enumerate(range(0, n, config.batch_size)):
+                batch = perm[start:start + config.batch_size]
                 out, acts = nn.forward(model, X[batch])
                 loss, grad = loss_fn(out, targets[batch])
                 nn.backward(model, acts, grad, grads)
                 del out, acts, grad
                 nn.adam_step(model, grads, adam, lr)
-            except NumericError as exc:
-                raise NumericError(
-                    f"{net} diverged at epoch {epoch}, step {step}: {exc}"
-                ) from exc
-            total += loss * len(batch)
-        history.append(total / n)
+                total += loss * len(batch)
+            history.append(total / n)
+    except NumericError as exc:
+        raise NumericError(f"{net} diverged at epoch {epoch}, step {step}: {exc}") from exc
+    finally:
+        nn.set_blas_threads(caller)
     return history
 
 
@@ -258,11 +262,13 @@ def train_contact_module(
 
 
 def predict_contact(module: TrainedContactModule, rows: np.ndarray) -> np.ndarray:
-    """f's outputs for a ``(frames, width)`` matrix, one forward per ``SCORE_BLOCK_ROWS`` rows."""
+    """f's outputs for a ``(frames, width)`` matrix, in zero-padded blocks of ``F_BLOCK_ROWS``."""
     out = np.empty((len(rows), module.model.layer_dims[-1]))
-    for start in range(0, len(rows), SCORE_BLOCK_ROWS):
-        block = slice(start, start + SCORE_BLOCK_ROWS)
-        out[block] = nn.forward(module.model, rows[block])[0]
+    for start in range(0, len(rows), F_BLOCK_ROWS):
+        block = rows[start:start + F_BLOCK_ROWS]
+        padded = np.zeros((F_BLOCK_ROWS,) + block.shape[1:])
+        padded[:len(block)] = block
+        out[start:start + len(block)] = nn.forward(module.model, padded)[0][:len(block)]
     return out
 
 

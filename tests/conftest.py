@@ -46,3 +46,11 @@ def pin_adam_threads(monkeypatch):
     def pin(k: int) -> None:
         monkeypatch.setattr(neuralcore, "_adam_threads", lambda: k)
     return pin
+
+
+@pytest.fixture()
+def restore_blas_threads():
+    """Give numpy's BLAS back, after the test, the thread count it had before."""
+    caller = neuralcore.blas_threads()
+    yield
+    neuralcore.set_blas_threads(caller)

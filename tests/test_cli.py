@@ -1,6 +1,7 @@
 """Command line surface: the full synth/derive/train/eval flow plus error paths."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -609,6 +610,47 @@ def test_diverging_run_prints_one_stderr_line(workspace, tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, lines
     assert json.loads(lines[0])["error"] == "NumericError"
+
+
+# runs the CLI, first printing the digest of f's float64 parameters, which the
+# float32 checkpoint rounds away
+_CLI_PRINTING_F_DIGEST = """
+import sys
+import casar.cli as cli
+train = cli.train_contact_module
+
+def train_and_print(*args):
+    module, history = train(*args)
+    print(module.parameter_digest())
+    return module, history
+
+cli.train_contact_module = train_and_print
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_trained_bytes_do_not_depend_on_the_blas_thread_variables(tmp_path):
+    """f at its default widths, trained in a process pinned to one BLAS thread by
+    ``OPENBLAS_NUM_THREADS`` and in one left at OpenBLAS's default, gives the same bytes."""
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--seed", "0", "--clips-per-class", "4",
+                 "--frames-min", "24", "--frames-max", "24"]) == 0
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    digests = []
+    for name, pinned in (("pinned", {"OPENBLAS_NUM_THREADS": "1"}), ("default", {})):
+        proc = subprocess.run(
+            [sys.executable, "-c", _CLI_PRINTING_F_DIGEST, "train-contact", "--data", str(data),
+             "--hidden-width", "256", "--batch-size", "64", "--epochs", "2",
+             "--out", str(tmp_path / name / "f.ckpt")],
+            env={**env, **pinned}, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.splitlines()[0])
+    assert digests[0] == digests[1]
+    for suffix in ("f.ckpt", "f.ckpt.meta.json"):
+        pinned, default = (tmp_path / name / suffix for name in ("pinned", "default"))
+        assert pinned.read_bytes() == default.read_bytes(), suffix
 
 
 def test_unknown_command_exits_2(capsys):

@@ -25,6 +25,7 @@ from casar.evaluation import (
 )
 from casar.geometry import ContactMap
 from casar.pipeline import (
+    F_BLOCK_ROWS,
     SCORE_BLOCK_ROWS,
     ActionModuleConfig,
     ContactModuleConfig,
@@ -233,23 +234,24 @@ def test_frames_are_encoded_once_and_scored_in_blocks(tiny_synth, tiny_config, s
     clip_features(clips[:1], f, g.config, tiny_config)
     assert len(encodes) == tiny_config.frames_per_clip
     n_f = tiny_config.frames_per_clip
-    assert len(contacts) < SCORE_BLOCK_ROWS and len(clips) * n_f <= SCORE_BLOCK_ROWS
+    assert len(clips) * n_f <= SCORE_BLOCK_ROWS
     forwards.clear()
     report = evaluate_pipeline(f, g, clips, contacts, tiny_config)
-    # one block of clips: f once on its frames and g once on its features,
-    # then f once on the contact frames
-    assert len(forwards) == 3
+    # one block of clips: f once per F_BLOCK_ROWS of its frames and g once on
+    # its features, then f once per F_BLOCK_ROWS contact frames
+    assert len(forwards) == (math.ceil(len(clips) * n_f / F_BLOCK_ROWS) + 1
+                             + math.ceil(len(contacts) / F_BLOCK_ROWS))
     preds = [predict_action(f, g, c, tiny_config)[0] for c in clips]
     np.testing.assert_array_equal(
         report.confusion,
         confusion_matrix(preds, [c.action_label for c in clips], tiny_config.action_class_count))
-    # smaller blocks: one clip per block, f once per 5 of its frames and g
-    # once, then f once per 5 contact frames; and the same report
+    # smaller clip blocks: one clip per block, f once per F_BLOCK_ROWS of its
+    # frames and g once, then the contact frames as before; and the same report
     forwards.clear()
     monkeypatch.setattr("casar.pipeline.SCORE_BLOCK_ROWS", 5)
     blocked = evaluate_pipeline(f, g, clips, contacts, tiny_config)
-    assert len(forwards) == (len(clips) * (math.ceil(n_f / 5) + 1)
-                             + math.ceil(len(contacts) / 5))
+    assert len(forwards) == (len(clips) * (math.ceil(n_f / F_BLOCK_ROWS) + 1)
+                             + math.ceil(len(contacts) / F_BLOCK_ROWS))
     assert blocked.per_object == report.per_object
     np.testing.assert_array_equal(blocked.confusion, report.confusion)
 
@@ -261,7 +263,7 @@ def test_block_boundaries_change_no_feature_or_report(tiny_synth, tiny_config, s
     raw = replace(g.config, binarize_contact=False)
     preds = [predict_action(f, g, c, tiny_config)[0] for c in clips]
     runs = []
-    # one clip's frames per block, less than a clip (one clip per g block), the default
+    # clip blocks of one clip (at a clip's frames and below) and of all clips (the default)
     for rows in (tiny_config.frames_per_clip, 5, SCORE_BLOCK_ROWS):
         monkeypatch.setattr("casar.pipeline.SCORE_BLOCK_ROWS", rows)
         np.testing.assert_array_equal(
@@ -272,11 +274,12 @@ def test_block_boundaries_change_no_feature_or_report(tiny_synth, tiny_config, s
     features, raw_features, report = runs[0]
     for other, other_raw, other_report in runs[1:]:
         np.testing.assert_array_equal(other, features)
-        # BLAS may pick another kernel for another row count, so a raw f
-        # output may move in its last bit; the binarized features above may not
-        np.testing.assert_allclose(other_raw, raw_features, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(other_raw, raw_features)
         np.testing.assert_array_equal(other_report.confusion, report.confusion)
         assert replace(other_report, confusion=None) == replace(report, confusion=None)
+    # a clip's raw features do not depend on the clips built with it
+    np.testing.assert_array_equal(
+        np.concatenate([clip_features([c], f, raw, tiny_config) for c in clips]), raw_features)
 
 
 # ---------------------------------------------------------------------------

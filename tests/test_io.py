@@ -189,18 +189,11 @@ def test_repeated_contact_record_is_a_parse_error_naming_both_lines(
 
 
 def _argv(root, file):
-    """A command that reads ``file``.
-
-    derive-contact reads the mesh, train-contact the contacts (eval skips a
-    contacts path that is not a file) and eval the rest.
-    """
+    """A command that reads ``file``: derive-contact reads the mesh, eval the rest."""
     data = root / "data"
     if file == "mesh":
         return ["derive-contact", "--clips", str(data / "clips.jsonl"),
                 "--meshes", str(data / "meshes"), "--out", str(root / "derived.jsonl")]
-    if file == "contacts":
-        return ["train-contact", "--data", str(data), "--hidden-width", "4", "--epochs", "1",
-                "--out", str(root / "trained.ckpt")]
     argv = ["eval", "--data", str(data), "--contact-ckpt", str(root / "f.ckpt"),
             "--action-ckpt", str(root / "g.ckpt"), "--report", str(root / "report")]
     return argv + (["--config", str(root / "config.json")] if file == "config" else [])

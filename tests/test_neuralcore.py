@@ -18,7 +18,6 @@ from casar.neuralcore import (
     ADAM_BLOCK,
     ADAM_MAX_THREADS,
     ADAM_MIN_BLOCKS,
-    BLAS_THREAD_VARIABLES,
     IDENTITY,
     PRED_CLAMP,
     RELU,
@@ -509,25 +508,30 @@ def test_adam_ranges_cover_the_vector_in_whole_blocks(n, ranges):
     assert ranges == 1 or all(stop - start >= ADAM_MIN_BLOCKS * ADAM_BLOCK for start, stop in split)
 
 
-@pytest.mark.parametrize("cores, env, threads", [
-    (2, {}, 1),  # OpenBLAS's default: one thread per core, none left idle
-    (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
-    (2, {"OMP_NUM_THREADS": "1"}, 2),
-    (2, {"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 2),
-    (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
-    (2, {"OPENBLAS_NUM_THREADS": "8"}, 1),
-    (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),  # taskset -c 0
-    (8, {"OPENBLAS_NUM_THREADS": "1"}, ADAM_MAX_THREADS),
-    (8, {"OPENBLAS_NUM_THREADS": "7"}, 2),
-    (8, {}, 1)])
-def test_adam_threads_use_the_cores_blas_leaves_idle(monkeypatch, cores, env, threads):
+@pytest.mark.parametrize("cores, blas, threads", [
+    (2, 2, 1),  # OpenBLAS's default: one thread per core, none left idle
+    (2, 1, 2),  # one BLAS thread, as in training
+    (2, 8, 1),
+    (1, 1, 1),  # taskset -c 0
+    (8, 1, ADAM_MAX_THREADS),
+    (8, 7, 2),
+    (8, 8, 1),
+    (2, None, 1)])  # a BLAS without thread controls: one range
+def test_adam_threads_use_the_cores_blas_leaves_idle(monkeypatch, cores, blas, threads):
     # process-wide for the test: neuralcore reads the mask through the os module
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
-    for name in BLAS_THREAD_VARIABLES:
-        monkeypatch.delenv(name, raising=False)
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(neuralcore, "blas_threads", lambda: blas)
     assert neuralcore._adam_threads() == threads
+
+
+def test_numpys_blas_thread_controls_are_found(restore_blas_threads):
+    assert isinstance(neuralcore.blas_threads(), int), (
+        "numpy's OpenBLAS exports no scipy_openblas_get_num_threads64_ / "
+        "scipy_openblas_set_num_threads64_: training would run at the caller's BLAS "
+        "thread count, and its bytes would depend on it")
+    for count in (1, 2, 1):
+        neuralcore.set_blas_threads(count)
+        assert neuralcore.blas_threads() == count
 
 
 def test_adam_step_raises_what_a_worker_raises(pin_adam_threads, monkeypatch):

@@ -15,6 +15,7 @@ from casar.datamodel import (
     HandPose,
     ObjectAnnotation,
     encode_clip,
+    encode_frame,
     resample_frames,
 )
 from casar.errors import (
@@ -157,10 +158,33 @@ def test_predict_contact_outputs_probabilities(tiny_config, trained_contact):
     np.testing.assert_array_equal(out, predict_contact(module, rows))
 
 
-def test_predict_contact_rejects_wrong_width(trained_contact):
+def test_predict_contact_rejects_wrong_width(tiny_config, trained_contact):
     module, _ = trained_contact
-    with pytest.raises(ShapeError):
-        predict_contact(module, np.zeros((1, 10)))
+    for rows in (np.zeros((1, 10)), np.zeros(tiny_config.frame_dim),
+                 np.zeros((2, 1, tiny_config.frame_dim))):
+        with pytest.raises(ShapeError):
+            predict_contact(module, rows)
+
+
+@pytest.mark.parametrize("hidden", [16, 256])
+def test_f_gives_a_frame_the_same_bits_alone_and_in_a_stack(tiny_synth, tiny_config, hidden,
+                                                             restore_blas_threads):
+    clips, _, _ = tiny_synth
+    dims = [tiny_config.frame_dim, hidden, hidden, tiny_config.contact_dim]
+    module = TrainedContactModule(nn.init_model(dims, seed=2), ContactModuleConfig(hidden))
+    # clips of 8-14 frames: stacked, each clip starts at another row of a block
+    frames = [np.stack([encode_frame(fr, tiny_config) for fr in c.frames]) for c in clips]
+    starts = np.cumsum([0] + [len(rows) for rows in frames])
+    for threads in (1, 2):
+        nn.set_blas_threads(threads)
+        stacked = predict_contact(module, np.concatenate(frames))
+        for rows, start in zip(frames, starts):
+            assert np.array_equal(predict_contact(module, rows),
+                                  stacked[start:start + len(rows)]), (
+                f"f gives a frame other bits alone than beside other frames (hidden width "
+                f"{hidden}, {threads} BLAS threads): if predict_contact still runs fixed "
+                f"zero-padded blocks, this BLAS build does not give a row the same bits "
+                f"wherever it sits in a block")
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +381,36 @@ def test_fit_fills_one_gradient_vector(tiny_synth, tiny_config, monkeypatch):
     assert all(g is filled[0] for g in filled + stepped)
     assert filled[0].shape == module.model.params.shape
     assert not np.shares_memory(filled[0], module.model.params)
+
+
+def test_fit_runs_on_one_blas_thread_and_restores_the_callers_count(
+        tiny_synth, tiny_config, monkeypatch, restore_blas_threads):
+    _, _, contacts = tiny_synth
+    seen = []
+    adam_step = nn.adam_step
+
+    def recording_adam_step(model, grads, state, lr):
+        seen.append(nn.blas_threads())
+        return adam_step(model, grads, state, lr)
+
+    monkeypatch.setattr(nn, "adam_step", recording_adam_step)
+    nn.set_blas_threads(3)
+    train_contact_module(contacts[:64], FAST_CONTACT, tiny_config)
+    assert seen and set(seen) == {1}
+    assert nn.blas_threads() == 3
+
+    def diverging_loss(out, target):
+        if len(seen) > 1:
+            raise NumericError("non-finite network output")
+        return nn.focal_loss(out, target, 0.5, 2.0)
+
+    seen.clear()
+    model = nn.init_model([4, 8, 2], seed=0)
+    X, Y = np.ones((64, 4)), np.ones((64, 2))
+    with pytest.raises(NumericError, match="epoch 1, step 0"):
+        _fit(model, X, Y, diverging_loss, FAST_CONTACT)
+    assert seen == [1, 1]
+    assert nn.blas_threads() == 3
 
 
 def test_fit_peaks_at_the_training_bytes_per_parameter(pin_adam_threads):
