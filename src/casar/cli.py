@@ -124,22 +124,23 @@ def _build(cls, raw, where: str, flags: dict | None = None, lenient: bool = Fals
 def _dataset_config(doc: dict, args, *sidecars: tuple) -> DatasetConfig:
     """The config file's dataset, else the first sidecar's that has one, else the defaults.
 
-    ``sidecars`` are ``(checkpoint path, sidecar)`` pairs.  Threshold flags
-    (``--eta-c``, ``--eta-d``) win over the file's ``thresholds`` section.
+    ``sidecars`` are ``(checkpoint path, sidecar)`` pairs.  The file's
+    ``thresholds`` section replaces the chosen dataset's thresholds, and
+    threshold flags (``--eta-c``, ``--eta-d``) win over both.
     """
-    if "dataset" not in doc and "thresholds" not in doc:
-        for ckpt, meta in sidecars:
-            if "dataset" in meta:
-                return _build(DatasetConfig, meta["dataset"], f"{ckpt} sidecar dataset",
-                              lenient=True)
-    section, where = doc.get("dataset", {}), f"config {args.config}"
+    where, section = f"config {args.config}", doc.get("dataset", {})
     if isinstance(section, dict) and "thresholds" in section:
         raise ValidationError(
             f'{where} dataset section: eta values belong in the top-level "thresholds" section'
         )
-    thresholds = _build(ContactThresholds, doc.get("thresholds", {}),
-                        f"{where} thresholds section", vars(args))
-    return _build(DatasetConfig, section, f"{where} dataset section", {"thresholds": thresholds})
+    if "dataset" in doc:
+        dc = _build(DatasetConfig, section, f"{where} dataset section")
+    else:
+        dc = next((_build(DatasetConfig, meta["dataset"], f"{ckpt} sidecar dataset", lenient=True)
+                   for ckpt, meta in sidecars if "dataset" in meta), DatasetConfig())
+    raw = doc.get("thresholds", dataclasses.asdict(dc.thresholds))
+    thresholds = _build(ContactThresholds, raw, f"{where} thresholds section", vars(args))
+    return dataclasses.replace(dc, thresholds=thresholds)
 
 
 # ---------------------------------------------------------------------------

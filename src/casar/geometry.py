@@ -1,11 +1,12 @@
 """Hand-object contact geometry.
 
 Ground-truth contact labeling works on raw point sets: hand joints are
-compared against the vertices of a posed object mesh, and every joint is
+compared against the vertices of an object mesh, and every joint is
 classified as a contact point (nearest vertex closer than ``eta_c``), a
 distant point (nearest vertex farther than ``eta_d``), or neither.
-Distances are point-to-vertex, never point-to-surface; mesh faces are
-ignored throughout.
+Each ``ObjectMesh`` builds its nearest-vertex index once and answers
+these distance queries itself.  Distances are point-to-vertex, never
+point-to-surface; mesh faces are ignored throughout.
 """
 
 from __future__ import annotations
@@ -43,37 +44,43 @@ def as_points(points, name: str = "points") -> np.ndarray:
     return pts
 
 
+def build_vertex_index(vertices) -> cKDTree:
+    """An exact nearest-neighbor tree over a read-only copy of a non-empty vertex set."""
+    verts = as_points(vertices, "vertices")
+    if len(verts) == 0:
+        raise ValidationError("cannot index an empty vertex set")
+    # the copy is the tree's data: writing into the caller's array cannot reach it
+    verts = verts.copy()
+    verts.setflags(write=False)
+    return cKDTree(verts)
+
+
 @dataclass(frozen=True)
 class ObjectMesh:
-    """Vertex set of one object in its canonical frame.
+    """Vertex set of one object in its canonical frame, with its nearest-vertex index.
 
-    Faces carry no meaning for contact labeling and are not stored.
+    Faces carry no meaning for contact labeling and are not stored.  The
+    constructor builds the index once; ``vertices`` is the read-only copy
+    it was built over, so writing into the caller's array changes neither.
+    Safe for concurrent read-only queries.
     """
 
     mesh_id: str
     vertices: np.ndarray
+    _tree: cKDTree = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         verts = as_points(self.vertices, f"mesh {self.mesh_id!r} vertices")
         if len(verts) == 0:
             raise ValidationError(f"mesh {self.mesh_id!r}: needs at least one vertex")
-        object.__setattr__(self, "vertices", verts)
+        tree = build_vertex_index(verts)
+        object.__setattr__(self, "_tree", tree)
+        object.__setattr__(self, "vertices", tree.data)
 
-
-@dataclass(frozen=True)
-class SpatialIndex:
-    """Immutable nearest-neighbor index over a fixed vertex set.
-
-    Queries return the exact minimum Euclidean distance; construction
-    copies the vertices, so the caller's array is never reordered.
-    Safe for concurrent read-only queries.
-    """
-
-    tree: cKDTree = field(repr=False)
-
-    def query_distances(self, points: np.ndarray) -> np.ndarray:
+    def query_distances(self, points) -> np.ndarray:
+        """The exact distance from each of ``points`` to its nearest vertex."""
         pts = as_points(points, "query points")
-        dists, _ = self.tree.query(pts, k=1)
+        dists, _ = self._tree.query(pts, k=1)
         return np.atleast_1d(np.asarray(dists, dtype=np.float64))
 
 
@@ -129,15 +136,6 @@ class ContactMap:
         return np.concatenate([self.contact, self.distant]).astype(np.float64)
 
 
-def build_vertex_index(vertices) -> SpatialIndex:
-    """Build an exact nearest-neighbor index over a non-empty vertex set."""
-    verts = as_points(vertices, "vertices")
-    if len(verts) == 0:
-        raise ValidationError("cannot index an empty vertex set")
-    # copy: the index must stay valid if the caller mutates its array
-    return SpatialIndex(tree=cKDTree(verts.copy()))
-
-
 def validate_rigid_transform(transform) -> np.ndarray:
     """Check a 4x4 homogeneous rigid transform and return it as float64.
 
@@ -167,14 +165,13 @@ def transform_points(transform, points) -> np.ndarray:
     return pts @ T[:3, :3].T + T[:3, 3]
 
 
-def label_contact_map(joints, index: SpatialIndex, thresholds: ContactThresholds) -> ContactMap:
-    """Label every hand joint against an index of posed mesh vertices.
+def label_contact_map(joints, mesh: ObjectMesh, thresholds: ContactThresholds) -> ContactMap:
+    """Label every hand joint by its distance to the mesh's nearest vertex.
 
     Comparisons are strict: a distance exactly equal to a threshold sets
-    neither bit.  The index must already be built in the same frame as
-    the joints.
+    neither bit.  The joints must be in the frame of the mesh's vertices.
     """
-    dists = index.query_distances(joints)
+    dists = mesh.query_distances(joints)
     return ContactMap(
         contact=(dists < thresholds.eta_c).astype(np.uint8),
         distant=(dists > thresholds.eta_d).astype(np.uint8),

@@ -39,8 +39,6 @@ from .errors import (
 from .geometry import (
     ContactThresholds,
     ObjectMesh,
-    SpatialIndex,
-    build_vertex_index,
     label_contact_map,
 )
 from .io import atomic_write, read_json_object
@@ -158,28 +156,23 @@ def derive_contact_dataset(
 
     One sample per frame, pre-resampling, so the contact set is as large
     as the recordings allow.  Labels are computed in each mesh's canonical
-    frame: one vertex index per mesh id over the canonical vertices, and
-    each frame's joints moved into that frame with the inverse object pose,
-    ``(joints - t) @ R``.  Point-to-vertex distance does not change under a
-    rigid pose, so these are the labels of the posed mesh.  This is the
-    only routine that turns joints and poses into labels; the synthetic
-    generator's targets come from it too.
+    frame: each mesh answers from its own vertex index, built once over its
+    canonical vertices, and each frame's joints are moved into that frame
+    with the inverse object pose, ``(joints - t) @ R``.  Point-to-vertex
+    distance does not change under a rigid pose, so these are the labels
+    of the posed mesh.  This is the only routine that turns joints and
+    poses into labels; the synthetic generator's targets come from it too.
     """
     samples: list[ContactSample] = []
-    indexes: dict[str, SpatialIndex] = {}
     for clip in clips:
-        mesh_id = clip.mesh_id
-        if mesh_id is None or mesh_id not in meshes:
-            raise ValidationError(
-                f"clip {clip.clip_id!r}: mesh {mesh_id!r} not available for contact derivation"
-            )
-        if mesh_id not in indexes:
-            indexes[mesh_id] = build_vertex_index(meshes[mesh_id].vertices)
-        index = indexes[mesh_id]
+        mesh = meshes.get(clip.mesh_id)
+        if mesh is None:
+            raise ValidationError(f"clip {clip.clip_id!r}: mesh {clip.mesh_id!r} "
+                                  "not available for contact derivation")
         for i, frame in enumerate(clip.frames):
             pose = frame.object.world_from_canonical
             canonical = (frame.hand.joints() - pose[:3, 3]) @ pose[:3, :3]
-            cmap = label_contact_map(canonical, index, thresholds)
+            cmap = label_contact_map(canonical, mesh, thresholds)
             samples.append(
                 ContactSample(frame=frame, target=cmap, clip_id=clip.clip_id, frame_index=i)
             )

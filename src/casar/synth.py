@@ -34,9 +34,7 @@ from .errors import NumericError, ValidationError, check_field_types
 from .geometry import (
     ContactThresholds,
     ObjectMesh,
-    SpatialIndex,
     box_corners,
-    build_vertex_index,
     expand_bbox_21,
 )
 from .pipeline import derive_contact_dataset
@@ -334,8 +332,7 @@ class _Placement:
 def _place_hands(
     rng: np.random.Generator,
     cspec: ClassSpec,
-    verts: np.ndarray,
-    index: SpatialIndex,
+    mesh: ObjectMesh,
     hand_scale: float,
 ) -> _Placement:
     """Sample a scene layout whose intended contact pattern is unambiguous.
@@ -351,6 +348,7 @@ def _place_hands(
     tip_row = TIP_JOINT[PRIMARY_FINGER]
     rest_template = hand_template((), other_side) * hand_scale
     moving = cspec.phase in ("approach", "retreat")
+    verts = mesh.vertices
 
     for _ in range(_MAX_PLACEMENT_ATTEMPTS):
         anchor = verts[rng.integers(len(verts))]
@@ -368,7 +366,7 @@ def _place_hands(
         shift = (anchor + gap * outward) - rot @ template[tip_row]
         acting = template @ rot.T + shift
 
-        dists = index.query_distances(acting)
+        dists = mesh.query_distances(acting)
         mask = np.zeros(HAND_JOINTS, dtype=bool)
         mask[touch_ids] = True
         if dists[mask].max() >= 0.012 or dists[~mask].min() <= 0.028:
@@ -378,7 +376,7 @@ def _place_hands(
 
         backoff = rng.uniform(*_START_DISTANCE) - gap
         if moving:
-            far = index.query_distances(acting + backoff * outward)
+            far = mesh.query_distances(acting + backoff * outward)
             if far.min() <= 0.215:
                 continue
 
@@ -394,7 +392,7 @@ def _place_hands(
         else:
             dist = rng.uniform(0.075, 0.105)
         rest = rest + (support + dist * away - rest_center)
-        d2 = index.query_distances(rest)
+        d2 = mesh.query_distances(rest)
         if cspec.other_band == "far":
             if d2.min() <= _FAR_CHECK:
                 continue
@@ -442,7 +440,6 @@ def _build_clip(
     class_id: int,
     cspec: ClassSpec,
     meshes: list[ObjectMesh],
-    canon_indexes: list[SpatialIndex],
     canon_corners: list[np.ndarray],
     n_frames: int,
     noise_sigma: float,
@@ -450,7 +447,7 @@ def _build_clip(
     obj_id = int(rng.integers(len(meshes)))
     mesh = meshes[obj_id]
     hand_scale = rng.uniform(*_HAND_SCALE)
-    placement = _place_hands(rng, cspec, mesh.vertices, canon_indexes[obj_id], hand_scale)
+    placement = _place_hands(rng, cspec, mesh, hand_scale)
     offsets = _phase_offsets(cspec.phase, n_frames, placement.backoff)
 
     # the whole scene is dropped into the world at an arbitrary orientation,
@@ -508,7 +505,6 @@ def synth_generate(
     """
     mesh_dict = make_meshes()
     meshes = [mesh_dict[k] for k in sorted(mesh_dict)]
-    canon_indexes = [build_vertex_index(m.vertices) for m in meshes]
     canon_corners = [box_corners(m.vertices.min(axis=0), m.vertices.max(axis=0))
                      for m in meshes]
 
@@ -524,7 +520,7 @@ def synth_generate(
             n_frames = int(rng.integers(lo, hi + 1))
             clip_id = f"{clip_prefix}_{class_id:02d}_{j:04d}"
             clips.append(_build_clip(
-                rng, clip_id, class_id, cspec, meshes, canon_indexes,
+                rng, clip_id, class_id, cspec, meshes,
                 canon_corners, n_frames, spec.noise_sigma,
             ))
     return clips, mesh_dict, derive_contact_dataset(clips, mesh_dict, thresholds)

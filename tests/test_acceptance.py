@@ -23,7 +23,7 @@ from casar.evaluation import (
     run_ablation,
     write_report,
 )
-from casar.geometry import ContactThresholds, build_vertex_index, label_contact_map
+from casar.geometry import ContactThresholds, ObjectMesh, label_contact_map
 from casar.pipeline import (
     ActionModuleConfig,
     ContactModuleConfig,
@@ -63,13 +63,13 @@ def test_c1_geometry_oracle_equivalence(capfd):
         n_verts = int(rng.integers(100, 5001))
         verts = rng.normal(size=(n_verts, 3)) * rng.uniform(0.05, 1.0)
         joints = rng.normal(size=(42, 3)) * rng.uniform(0.05, 1.0)
-        index = build_vertex_index(verts)
-        fast = index.query_distances(joints)
+        mesh = ObjectMesh(mesh_id="m", vertices=verts)
+        fast = mesh.query_distances(joints)
         brute = np.sqrt(
             ((joints[:, None, :] - verts[None, :, :]) ** 2).sum(axis=2)
         ).min(axis=1)
         worst = max(worst, float(np.abs(fast - brute).max()))
-        cmap = label_contact_map(joints, index, thresholds)
+        cmap = label_contact_map(joints, mesh, thresholds)
         bits_equal = bits_equal and np.array_equal(
             cmap.contact, (brute < thresholds.eta_c).astype(np.uint8)
         ) and np.array_equal(

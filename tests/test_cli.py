@@ -336,6 +336,34 @@ def test_ablation_reads_the_contact_checkpoints_dataset(workspace, tmp_path, mon
     assert manifest["config"]["dataset"] == load_checkpoint_meta(workspace / "f.ckpt")["dataset"]
 
 
+def test_a_thresholds_section_alone_keeps_the_sidecars_dataset(workspace, tmp_path):
+    """A config file with no dataset section falls back to the sidecar's dataset;
+    its thresholds section replaces only that dataset's thresholds."""
+    cfg = tmp_path / "thr.json"
+    thresholds = {"eta_c": 0.03, "eta_d": 0.15}
+    cfg.write_text(json.dumps({"thresholds": thresholds, "action": SMALL_CFG["action"]}))
+    g = tmp_path / "g.ckpt"
+    assert main([
+        "train-action",
+        "--data", str(workspace / "data"),
+        "--contact-ckpt", str(workspace / "f.ckpt"),
+        "--config", str(cfg),
+        "--out", str(g),
+    ]) == 0
+    expected = {**load_checkpoint_meta(workspace / "f.ckpt")["dataset"], "thresholds": thresholds}
+    assert load_checkpoint_meta(g)["dataset"] == expected
+    assert main([
+        "eval",
+        "--data", str(workspace / "data"),
+        "--contact-ckpt", str(workspace / "f.ckpt"),
+        "--action-ckpt", str(g),
+        "--config", str(cfg),
+        "--report", str(tmp_path / "report"),
+    ]) == 0
+    manifest = json.loads((tmp_path / "report" / "manifest.json").read_text())
+    assert manifest["config"]["dataset"] == expected
+
+
 # ---------------------------------------------------------------------------
 # each command reads only its own files; every writer makes its directory
 

@@ -55,7 +55,7 @@ point_arrays = lambda n_min, n_max: hnp.arrays(
 
 
 # ---------------------------------------------------------------------------
-# index vs brute force
+# mesh index vs brute force
 
 
 def test_index_matches_brute_force_oracle():
@@ -63,8 +63,8 @@ def test_index_matches_brute_force_oracle():
     for _ in range(200):
         verts = rng.uniform(-1.0, 1.0, size=(rng.integers(1, 400), 3))
         joints = rng.uniform(-1.2, 1.2, size=(42, 3))
-        index = build_vertex_index(verts)
-        got = index.query_distances(joints)
+        mesh = ObjectMesh(mesh_id="m", vertices=verts)
+        got = mesh.query_distances(joints)
         want = brute_force_distances(verts, joints)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
@@ -75,7 +75,7 @@ def test_contact_map_matches_brute_force_bits():
     for _ in range(50):
         verts = rng.uniform(-0.2, 0.2, size=(rng.integers(1, 300), 3))
         joints = rng.uniform(-0.4, 0.4, size=(42, 3))
-        cmap = label_contact_map(joints, build_vertex_index(verts), thr)
+        cmap = label_contact_map(joints, ObjectMesh(mesh_id="m", vertices=verts), thr)
         dists = brute_force_distances(verts, joints)
         np.testing.assert_array_equal(cmap.contact, (dists < thr.eta_c).astype(np.uint8))
         np.testing.assert_array_equal(cmap.distant, (dists > thr.eta_d).astype(np.uint8))
@@ -83,19 +83,22 @@ def test_contact_map_matches_brute_force_bits():
 
 def test_single_point_query_helper():
     verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    index = build_vertex_index(verts)
-    assert index.query_distances([[0.25, 0.0, 0.0]])[0] == pytest.approx(0.25, abs=1e-15)
+    mesh = ObjectMesh(mesh_id="m", vertices=verts)
+    assert mesh.query_distances([[0.25, 0.0, 0.0]])[0] == pytest.approx(0.25, abs=1e-15)
     with pytest.raises(ShapeError):  # one point is a (1, 3) array, not a bare (3,) one
-        index.query_distances([0.25, 0.0, 0.0])
+        mesh.query_distances([0.25, 0.0, 0.0])
 
 
 def test_index_never_mutates_or_aliases_caller_vertices():
     verts = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
     snapshot = verts.copy()
-    index = build_vertex_index(verts)
+    mesh = ObjectMesh(mesh_id="m", vertices=verts)
     np.testing.assert_array_equal(verts, snapshot)
-    verts[:] = 999.0  # the index must hold its own copy
-    assert index.query_distances([[0.0, 0.0, 0.0]])[0] == 0.0
+    verts[:] = 999.0  # the mesh and its index must hold their own copy
+    np.testing.assert_array_equal(mesh.vertices, snapshot)
+    assert mesh.query_distances([[0.0, 0.0, 0.0]])[0] == 0.0
+    with pytest.raises(ValueError):  # the copy the index was built over is read-only
+        mesh.vertices[0, 0] = 1.0
 
 
 def test_empty_vertex_set_rejected():
@@ -109,7 +112,7 @@ def test_empty_vertex_set_rejected():
 
 def test_thresholds_are_strict_at_the_boundary():
     verts = np.array([[0.0, 0.0, 0.0]])
-    index = build_vertex_index(verts)
+    mesh = ObjectMesh(mesh_id="m", vertices=verts)
     thr = ContactThresholds(eta_c=0.02, eta_d=0.20)
     joints = np.array([
         [0.02, 0.0, 0.0],   # exactly eta_c: not contact
@@ -118,7 +121,7 @@ def test_thresholds_are_strict_at_the_boundary():
         [0.201, 0.0, 0.0],  # distant
         [0.1, 0.0, 0.0],    # neither
     ])
-    cmap = label_contact_map(joints, index, thr)
+    cmap = label_contact_map(joints, mesh, thr)
     np.testing.assert_array_equal(cmap.contact, [0, 0, 1, 0, 0])
     np.testing.assert_array_equal(cmap.distant, [0, 0, 0, 1, 0])
 
@@ -134,7 +137,8 @@ def test_threshold_validation():
 
 @given(point_arrays(1, 60), point_arrays(1, 30))
 def test_contact_and_distant_are_mutually_exclusive(verts, joints):
-    cmap = label_contact_map(joints, build_vertex_index(verts), ContactThresholds(0.02, 0.20))
+    mesh = ObjectMesh(mesh_id="m", vertices=verts)
+    cmap = label_contact_map(joints, mesh, ContactThresholds(0.02, 0.20))
     assert not np.any(cmap.contact & cmap.distant)
 
 
@@ -147,9 +151,9 @@ def test_contact_and_distant_are_mutually_exclusive(verts, joints):
 )
 def test_threshold_monotonicity(verts, joints, eta_c, eta_d, shrink):
     """Tightening eta_c can only clear contact bits; widening eta_d only clears distant bits."""
-    index = build_vertex_index(verts)
-    base = label_contact_map(joints, index, ContactThresholds(eta_c, eta_d))
-    tighter = label_contact_map(joints, index, ContactThresholds(eta_c - shrink, eta_d + shrink))
+    mesh = ObjectMesh(mesh_id="m", vertices=verts)
+    base = label_contact_map(joints, mesh, ContactThresholds(eta_c, eta_d))
+    tighter = label_contact_map(joints, mesh, ContactThresholds(eta_c - shrink, eta_d + shrink))
     assert np.all(tighter.contact <= base.contact)
     assert np.all(tighter.distant <= base.distant)
 
@@ -162,15 +166,16 @@ def test_threshold_monotonicity(verts, joints, eta_c, eta_d, shrink):
 )
 def test_labels_invariant_under_rigid_motion(verts, joints, angles, translation):
     thr = ContactThresholds(0.02, 0.20)
-    index = build_vertex_index(verts)
-    dists = index.query_distances(joints)
+    mesh = ObjectMesh(mesh_id="m", vertices=verts)
+    dists = mesh.query_distances(joints)
     # keep clear of the strict-comparison boundary so fp noise cannot flip a bit
     assume(np.abs(dists - thr.eta_c).min() > 1e-9)
     assume(np.abs(dists - thr.eta_d).min() > 1e-9)
     T = rigid(rotation_from_angles(*angles), np.asarray(translation))
-    before = label_contact_map(joints, index, thr)
+    before = label_contact_map(joints, mesh, thr)
     after = label_contact_map(
-        transform_points(T, joints), build_vertex_index(transform_points(T, verts)), thr
+        transform_points(T, joints), ObjectMesh(mesh_id="m", vertices=transform_points(T, verts)),
+        thr,
     )
     np.testing.assert_array_equal(before.contact, after.contact)
     np.testing.assert_array_equal(before.distant, after.distant)

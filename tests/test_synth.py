@@ -1,12 +1,16 @@
 """Synthetic scene generator: determinism, label self-consistency, class structure."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from casar import geometry
 from casar.datamodel import DatasetConfig
 from casar.errors import ValidationError
-from casar.geometry import ContactThresholds, build_vertex_index, label_contact_map, transform_points
+from casar.geometry import ContactThresholds, ObjectMesh, label_contact_map, transform_points
 from casar.io import write_clips, write_contact_targets, write_meshes
+from casar.pipeline import derive_contact_dataset
 from casar.synth import CLASS_CATALOG, SynthSpec, hand_template, make_meshes, synth_generate
 
 
@@ -95,7 +99,8 @@ def test_emitted_labels_are_self_consistent(tiny_synth):
         frame = clip.frames[s.frame_index]
         world = transform_points(frame.object.world_from_canonical,
                                  meshes[clip.mesh_id].vertices)
-        again = label_contact_map(frame.hand.joints(), build_vertex_index(world), thr)
+        posed = ObjectMesh(mesh_id="posed", vertices=world)
+        again = label_contact_map(frame.hand.joints(), posed, thr)
         np.testing.assert_array_equal(again.contact, s.target.contact)
         np.testing.assert_array_equal(again.distant, s.target.distant)
 
@@ -109,7 +114,8 @@ def test_custom_thresholds_flow_into_the_labels():
         frame = clip_by_id[s.clip_id].frames[s.frame_index]
         world = transform_points(frame.object.world_from_canonical,
                                  meshes[clip_by_id[s.clip_id].mesh_id].vertices)
-        again = label_contact_map(frame.hand.joints(), build_vertex_index(world), loose)
+        posed = ObjectMesh(mesh_id="posed", vertices=world)
+        again = label_contact_map(frame.hand.joints(), posed, loose)
         np.testing.assert_array_equal(again.contact, s.target.contact)
         np.testing.assert_array_equal(again.distant, s.target.distant)
 
@@ -142,8 +148,31 @@ def test_noise_free_generation_also_labels_consistently():
         frame = clip_by_id[s.clip_id].frames[s.frame_index]
         world = transform_points(frame.object.world_from_canonical,
                                  meshes[clip_by_id[s.clip_id].mesh_id].vertices)
-        again = label_contact_map(frame.hand.joints(), build_vertex_index(world), thr)
+        posed = ObjectMesh(mesh_id="posed", vertices=world)
+        again = label_contact_map(frame.hand.joints(), posed, thr)
         np.testing.assert_array_equal(again.contact, s.target.contact)
+
+
+def test_each_mesh_builds_its_index_once(monkeypatch):
+    """synth builds one index per mesh, and deriving labels on built meshes builds none."""
+    real, built = geometry.build_vertex_index, []
+
+    def counted(vertices):
+        built.append(len(vertices))
+        return real(vertices)
+
+    # replace the function wherever casar binds it, as a tracer from outside would
+    for name, module in list(sys.modules.items()):
+        if name.startswith("casar") and getattr(module, "build_vertex_index", None) is real:
+            monkeypatch.setattr(module, "build_vertex_index", counted)
+    spec = SynthSpec(class_count=2, clips_per_class=2, frames_range=(4, 6), seed=8)
+    clips, meshes, samples = synth_generate(spec)
+    assert len(built) == len(meshes)
+    built.clear()
+    again = derive_contact_dataset(clips, meshes, ContactThresholds())
+    assert built == []
+    assert [(a.target.contact.tolist(), a.target.distant.tolist()) for a in again] == \
+        [(s.target.contact.tolist(), s.target.distant.tolist()) for s in samples]
 
 
 def test_hand_template_mirrors_left():
