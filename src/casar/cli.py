@@ -244,7 +244,7 @@ def cmd_derive_contact(args) -> int:
         args.eta_d = 0.10
     dc = _dataset_config(_load_config(args.config), args)
     clips = load_clips(args.clips, dc)
-    meshes = load_meshes(args.meshes)
+    meshes = load_meshes(args.meshes, {clip.mesh_id for clip in clips})
     samples = derive_contact_dataset(clips, meshes, dc.thresholds)
     out = Path(args.out)
     write_contact_targets(samples, out)

@@ -80,8 +80,8 @@ class ObjectMesh:
     def query_distances(self, points) -> np.ndarray:
         """The exact distance from each of ``points`` to its nearest vertex."""
         pts = as_points(points, "query points")
-        dists, _ = self._tree.query(pts, k=1)
-        return np.atleast_1d(np.asarray(dists, dtype=np.float64))
+        dists, _ = self._tree.query(pts, k=1)  # one float64 distance per row of pts
+        return dists
 
 
 @dataclass(frozen=True)
@@ -117,9 +117,10 @@ class ContactMap:
                 f"contact/distant must be equal-length vectors, got "
                 f"{contact.shape} and {distant.shape}"
             )
-        # checked before the uint8 cast, which would turn 0.7 into 0 and 256 into 0
-        bits = np.stack([contact, distant])
-        if not ((bits == 0) | (bits == 1)).all():
+        bits = np.array([contact, distant])
+        # a bool is a bit; any other entry is checked before the uint8 cast,
+        # which would turn 0.7 into 0 and 256 into 0
+        if bits.dtype != bool and not ((bits == 0) | (bits == 1)).all():
             raise ValidationError("contact and distant entries must be 0 or 1")
         bits = bits.astype(np.uint8)
         if (bits[0] & bits[1]).any():
@@ -147,13 +148,18 @@ def validate_rigid_transform(transform) -> np.ndarray:
         raise ShapeError(f"rigid transform must be 4x4, got shape {T.shape}")
     if not np.isfinite(T).all():
         raise ValidationError("rigid transform contains non-finite entries")
-    if np.abs(T[3] - np.array([0.0, 0.0, 0.0, 1.0])).max() > _BOTTOM_ROW_TOL:
+    # on the 16 floats, a few Python operations cost less than numpy calls
+    (a, b, c, _), (d, e, f, _), (g, h, i, _), (b0, b1, b2, b3) = T.tolist()
+    if max(abs(b0), abs(b1), abs(b2), abs(b3 - 1.0)) > _BOTTOM_ROW_TOL:
         raise ValidationError(f"bottom row must be (0, 0, 0, 1), got {T[3]}")
-    R = T[:3, :3]
-    err = np.abs(R.T @ R - np.eye(3)).max()
+    # R^T R holds the dot products of R's columns (a, d, g), (b, e, h), (c, f, i)
+    err = max(abs(a * a + d * d + g * g - 1.0), abs(b * b + e * e + h * h - 1.0),
+              abs(c * c + f * f + i * i - 1.0), abs(a * b + d * e + g * h),
+              abs(a * c + d * f + g * i), abs(b * c + e * f + h * i))
     if err > _ORTHONORMAL_TOL:
         raise ValidationError(f"rotation block not orthonormal (|R^T R - I| = {err:.2e})")
-    if np.linalg.det(R) <= 0:
+    # an orthonormal block has determinant +-1, so the cofactor expansion's sign is exact
+    if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) <= 0:
         raise ValidationError("rotation block must have positive determinant")
     return T
 
@@ -165,17 +171,16 @@ def transform_points(transform, points) -> np.ndarray:
     return pts @ T[:3, :3].T + T[:3, 3]
 
 
-def label_contact_map(joints, mesh: ObjectMesh, thresholds: ContactThresholds) -> ContactMap:
-    """Label every hand joint by its distance to the mesh's nearest vertex.
+def label_contact_map(dists, thresholds: ContactThresholds) -> ContactMap:
+    """Label every hand joint from its distance to the object's nearest vertex.
 
+    ``dists`` holds one distance per joint, as ``ObjectMesh.query_distances``
+    returns them for joints in the frame of the mesh's vertices.
     Comparisons are strict: a distance exactly equal to a threshold sets
-    neither bit.  The joints must be in the frame of the mesh's vertices.
+    neither bit.
     """
-    dists = mesh.query_distances(joints)
-    return ContactMap(
-        contact=(dists < thresholds.eta_c).astype(np.uint8),
-        distant=(dists > thresholds.eta_d).astype(np.uint8),
-    )
+    d = np.asarray(dists, dtype=np.float64)
+    return ContactMap(contact=d < thresholds.eta_c, distant=d > thresholds.eta_d)
 
 
 def box_corners(low, high) -> np.ndarray:
@@ -196,6 +201,13 @@ def expand_bbox_21(corners) -> np.ndarray:
     c = np.asarray(corners, dtype=np.float64)
     if c.shape != (8, 3):
         raise ShapeError(f"expected 8 corners of shape (8, 3), got {c.shape}")
+    out = np.empty((21, 3))
+    out[1:9] = c
     with np.errstate(invalid="ignore"):  # inf + -inf is NaN, which the keeper refuses
-        mids = (c[_EDGE_LOW] + c[_EDGE_HIGH]) * 0.5
-        return np.vstack([c.mean(axis=0)[None, :], c, mids])
+        center = out[0]
+        np.add.reduce(c, axis=0, out=center)  # the mean, as np.mean takes it
+        center /= 8
+        mids = out[9:]
+        np.add(c[_EDGE_LOW], c[_EDGE_HIGH], out=mids)
+        mids *= 0.5
+    return out

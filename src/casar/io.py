@@ -271,15 +271,22 @@ def write_obj_vertices(path, vertices) -> None:
             fh.write(f"v {float(x)!r} {float(y)!r} {float(z)!r}\n")
 
 
-def load_meshes(directory) -> dict[str, ObjectMesh]:
-    """Load every ``<mesh_id>.obj`` file in a directory."""
+def load_meshes(directory, mesh_ids=None) -> dict[str, ObjectMesh]:
+    """Load the ``<mesh_id>.obj`` files in a directory: all, or those ``mesh_ids`` names.
+
+    The directory is listed either way; an id is only matched against the
+    stems of the listed files, never joined into a path, and an id with no
+    file is left out.
+    """
     d = Path(directory)
     if not d.is_dir():
         raise DataIOError(f"mesh directory not found: {directory}")
+    wanted = None if mesh_ids is None else set(mesh_ids)
     meshes = {}
     for path in sorted(d.glob(f"*{MESH_SUFFIX}")):
         mesh_id = path.stem
-        meshes[mesh_id] = ObjectMesh(mesh_id=mesh_id, vertices=read_obj_vertices(path))
+        if wanted is None or mesh_id in wanted:
+            meshes[mesh_id] = ObjectMesh(mesh_id=mesh_id, vertices=read_obj_vertices(path))
     return meshes
 
 

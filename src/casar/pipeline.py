@@ -156,12 +156,16 @@ def derive_contact_dataset(
 
     One sample per frame, pre-resampling, so the contact set is as large
     as the recordings allow.  Labels are computed in each mesh's canonical
-    frame: each mesh answers from its own vertex index, built once over its
-    canonical vertices, and each frame's joints are moved into that frame
-    with the inverse object pose, ``(joints - t) @ R``.  Point-to-vertex
+    frame: each frame's joints are moved into that frame with the inverse
+    object pose, ``(joints - t) @ R``, one product per frame.  Point-to-vertex
     distance does not change under a rigid pose, so these are the labels
-    of the posed mesh.  This is the only routine that turns joints and
-    poses into labels; the synthetic generator's targets come from it too.
+    of the posed mesh.  A clip's moved frames are stacked and its mesh
+    answers them in one nearest-vertex query, from the index it built once
+    over its canonical vertices; each point's distance is its own, so every
+    frame gets the distances, and the bits, of a query of its joints alone.
+    ``label_contact_map`` then thresholds each frame's slice.  This is the
+    only routine that turns joints and poses into labels; the synthetic
+    generator's targets come from it too.
     """
     samples: list[ContactSample] = []
     for clip in clips:
@@ -169,10 +173,15 @@ def derive_contact_dataset(
         if mesh is None:
             raise ValidationError(f"clip {clip.clip_id!r}: mesh {clip.mesh_id!r} "
                                   "not available for contact derivation")
-        for i, frame in enumerate(clip.frames):
+        canonical = []
+        for frame in clip.frames:
             pose = frame.object.world_from_canonical
-            canonical = (frame.hand.joints() - pose[:3, 3]) @ pose[:3, :3]
-            cmap = label_contact_map(canonical, mesh, thresholds)
+            canonical.append((frame.hand.joints() - pose[:3, 3]) @ pose[:3, :3])
+        dists = mesh.query_distances(np.concatenate(canonical))
+        stop = 0
+        for i, (frame, joints) in enumerate(zip(clip.frames, canonical)):
+            start, stop = stop, stop + len(joints)
+            cmap = label_contact_map(dists[start:stop], thresholds)
             samples.append(
                 ContactSample(frame=frame, target=cmap, clip_id=clip.clip_id, frame_index=i)
             )

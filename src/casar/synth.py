@@ -281,10 +281,20 @@ def make_meshes() -> dict[str, ObjectMesh]:
 # placement helpers
 
 
+# Placement works on 3- and 4-vectors, where each numpy call costs more
+# than its arithmetic.  A norm is math.sqrt(v.dot(v)), the sum
+# np.linalg.norm takes, and a cross product is a1*b2 - a2*b1 on floats, as
+# np.cross computes it: the same bits with fewer numpy calls.
+
+
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(v.dot(v))
+
+
 def _random_unit(rng: np.random.Generator) -> np.ndarray:
     while True:
         v = rng.normal(size=3)
-        n = np.linalg.norm(v)
+        n = _norm(v)
         if n > 1e-8:
             return v / n
 
@@ -293,13 +303,18 @@ def _random_tangent(rng: np.random.Generator, normal: np.ndarray) -> np.ndarray:
     while True:
         v = rng.normal(size=3)
         t = v - (v @ normal) * normal
-        n = np.linalg.norm(t)
+        n = _norm(t)
         if n > 1e-8:
             return t / n
 
 
+def _cross(a: list[float], b: list[float]) -> list[float]:
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+
+
 def _rotation_about(axis: np.ndarray, angle: float) -> np.ndarray:
-    x, y, z = axis
+    x, y, z = axis.tolist()
     c, s = math.cos(angle), math.sin(angle)
     cc = 1.0 - c
     return np.array([
@@ -311,7 +326,7 @@ def _rotation_about(axis: np.ndarray, angle: float) -> np.ndarray:
 
 def _random_rotation(rng: np.random.Generator) -> np.ndarray:
     q = rng.normal(size=4)
-    w, x, y, z = q / np.linalg.norm(q)
+    w, x, y, z = (q / _norm(q)).tolist()
     return np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
@@ -342,7 +357,9 @@ def _place_hands(
     joint clearly outside it, and the other hand sits inside its band,
     leaving margins the joint noise cannot realistically cross.
     """
-    touch_ids = np.array(sorted(TIP_JOINT[f] for f in cspec.tips))
+    touching = np.zeros(HAND_JOINTS, dtype=bool)
+    touching[[TIP_JOINT[f] for f in cspec.tips]] = True
+    apart = ~touching
     other_side = "left" if cspec.acting == "right" else "right"
     template = hand_template(cspec.tips, cspec.acting) * hand_scale
     tip_row = TIP_JOINT[PRIMARY_FINGER]
@@ -352,24 +369,24 @@ def _place_hands(
 
     for _ in range(_MAX_PLACEMENT_ATTEMPTS):
         anchor = verts[rng.integers(len(verts))]
-        norm = np.linalg.norm(anchor)
+        norm = _norm(anchor)
         if norm < 0.015:
             continue
         outward = anchor / norm
         tangent = _random_tangent(rng, outward)
         plunge = rng.uniform(*_PLUNGE_ANGLE)
-        finger_dir = -math.cos(plunge) * outward + math.sin(plunge) * tangent
-        palm_normal = math.sin(plunge) * outward + math.cos(plunge) * tangent
-        spread = np.cross(finger_dir, palm_normal)
-        rot = np.column_stack([spread, finger_dir, palm_normal])
+        cos, sin = math.cos(plunge), math.sin(plunge)
+        pairs = list(zip(outward.tolist(), tangent.tolist()))
+        finger_dir = [-cos * o + sin * t for o, t in pairs]
+        palm_normal = [sin * o + cos * t for o, t in pairs]
+        # columns: spread, finger direction, palm normal
+        rot = np.array(list(zip(_cross(finger_dir, palm_normal), finger_dir, palm_normal)))
         gap = rng.uniform(*_TOUCH_GAP)
         shift = (anchor + gap * outward) - rot @ template[tip_row]
         acting = template @ rot.T + shift
 
         dists = mesh.query_distances(acting)
-        mask = np.zeros(HAND_JOINTS, dtype=bool)
-        mask[touch_ids] = True
-        if dists[mask].max() >= 0.012 or dists[~mask].min() <= 0.028:
+        if dists[touching].max() >= 0.012 or dists[apart].min() <= 0.028:
             continue
         if dists.max() >= 0.185:
             continue

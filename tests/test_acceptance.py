@@ -69,7 +69,7 @@ def test_c1_geometry_oracle_equivalence(capfd):
             ((joints[:, None, :] - verts[None, :, :]) ** 2).sum(axis=2)
         ).min(axis=1)
         worst = max(worst, float(np.abs(fast - brute).max()))
-        cmap = label_contact_map(joints, mesh, thresholds)
+        cmap = label_contact_map(mesh.query_distances(joints), thresholds)
         bits_equal = bits_equal and np.array_equal(
             cmap.contact, (brute < thresholds.eta_c).astype(np.uint8)
         ) and np.array_equal(

@@ -481,6 +481,25 @@ def test_missing_mesh_is_named(workspace, tmp_path, capsys):
     assert "mesh" in stderr_json(capsys)["message"]
 
 
+def test_derive_reads_only_the_meshes_its_clips_name(tmp_path, capsys):
+    data = tmp_path / "d"
+    assert main(["synth", "--out", str(data), "--seed", "0", "--classes", "2",
+                 "--clips-per-class", "1", "--frames-min", "4", "--frames-max", "4"]) == 0
+    argv = ["derive-contact", "--clips", str(data / "clips.jsonl"),
+            "--meshes", str(data / "meshes"), "--out"]
+    assert main(argv + [str(tmp_path / "clean.jsonl")]) == 0
+    (data / "meshes" / "unused.obj").write_text("v 1 2 nan\n")
+    assert main(argv + [str(tmp_path / "unused.jsonl")]) == 0
+    assert (tmp_path / "unused.jsonl").read_bytes() == (tmp_path / "clean.jsonl").read_bytes()
+    # a clip that names a mesh with no file still fails, naming the clip and the mesh
+    first = load_clips(data / "clips.jsonl", DatasetConfig())[0]
+    (data / "meshes" / f"{first.mesh_id}.obj").unlink()
+    capsys.readouterr()
+    assert main(argv + [str(tmp_path / "absent.jsonl")]) == 2
+    assert stderr_json(capsys)["message"] == (
+        f"clip {first.clip_id!r}: mesh {first.mesh_id!r} not available for contact derivation")
+
+
 def test_clip_width_mismatch_exits_2(workspace, tmp_path, capsys):
     cfg = tmp_path / "short.json"
     doc = dict(SMALL_CFG)

@@ -300,6 +300,18 @@ def test_mesh_dir_round_trip(tiny_synth, tmp_path):
         np.testing.assert_array_equal(back[mid].vertices, meshes[mid].vertices)
 
 
+def test_mesh_ids_pick_files_by_stem_only(tiny_synth, tmp_path):
+    _, meshes, _ = tiny_synth
+    write_meshes(meshes, tmp_path / "meshes")
+    (tmp_path / "meshes" / "broken.obj").write_text("v 1 2 nan\n")
+    write_meshes({"outside": meshes["obj0"]}, tmp_path)  # tmp_path/outside.obj
+    back = load_meshes(tmp_path / "meshes", ["obj0", "obj3", "../outside", "absent"])
+    assert list(back) == ["obj0", "obj3"]
+    for mid in back:
+        np.testing.assert_array_equal(back[mid].vertices, meshes[mid].vertices)
+    assert load_meshes(tmp_path / "meshes", []) == {}
+
+
 def test_empty_clip_file_loads_to_empty_list(tmp_path):
     path = tmp_path / "none.jsonl"
     path.write_text("")

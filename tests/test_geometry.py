@@ -75,7 +75,8 @@ def test_contact_map_matches_brute_force_bits():
     for _ in range(50):
         verts = rng.uniform(-0.2, 0.2, size=(rng.integers(1, 300), 3))
         joints = rng.uniform(-0.4, 0.4, size=(42, 3))
-        cmap = label_contact_map(joints, ObjectMesh(mesh_id="m", vertices=verts), thr)
+        mesh = ObjectMesh(mesh_id="m", vertices=verts)
+        cmap = label_contact_map(mesh.query_distances(joints), thr)
         dists = brute_force_distances(verts, joints)
         np.testing.assert_array_equal(cmap.contact, (dists < thr.eta_c).astype(np.uint8))
         np.testing.assert_array_equal(cmap.distant, (dists > thr.eta_d).astype(np.uint8))
@@ -121,7 +122,7 @@ def test_thresholds_are_strict_at_the_boundary():
         [0.201, 0.0, 0.0],  # distant
         [0.1, 0.0, 0.0],    # neither
     ])
-    cmap = label_contact_map(joints, mesh, thr)
+    cmap = label_contact_map(mesh.query_distances(joints), thr)
     np.testing.assert_array_equal(cmap.contact, [0, 0, 1, 0, 0])
     np.testing.assert_array_equal(cmap.distant, [0, 0, 0, 1, 0])
 
@@ -138,7 +139,7 @@ def test_threshold_validation():
 @given(point_arrays(1, 60), point_arrays(1, 30))
 def test_contact_and_distant_are_mutually_exclusive(verts, joints):
     mesh = ObjectMesh(mesh_id="m", vertices=verts)
-    cmap = label_contact_map(joints, mesh, ContactThresholds(0.02, 0.20))
+    cmap = label_contact_map(mesh.query_distances(joints), ContactThresholds(0.02, 0.20))
     assert not np.any(cmap.contact & cmap.distant)
 
 
@@ -152,8 +153,9 @@ def test_contact_and_distant_are_mutually_exclusive(verts, joints):
 def test_threshold_monotonicity(verts, joints, eta_c, eta_d, shrink):
     """Tightening eta_c can only clear contact bits; widening eta_d only clears distant bits."""
     mesh = ObjectMesh(mesh_id="m", vertices=verts)
-    base = label_contact_map(joints, mesh, ContactThresholds(eta_c, eta_d))
-    tighter = label_contact_map(joints, mesh, ContactThresholds(eta_c - shrink, eta_d + shrink))
+    base = label_contact_map(mesh.query_distances(joints), ContactThresholds(eta_c, eta_d))
+    tighter = label_contact_map(mesh.query_distances(joints),
+                                ContactThresholds(eta_c - shrink, eta_d + shrink))
     assert np.all(tighter.contact <= base.contact)
     assert np.all(tighter.distant <= base.distant)
 
@@ -172,9 +174,10 @@ def test_labels_invariant_under_rigid_motion(verts, joints, angles, translation)
     assume(np.abs(dists - thr.eta_c).min() > 1e-9)
     assume(np.abs(dists - thr.eta_d).min() > 1e-9)
     T = rigid(rotation_from_angles(*angles), np.asarray(translation))
-    before = label_contact_map(joints, mesh, thr)
+    before = label_contact_map(mesh.query_distances(joints), thr)
     after = label_contact_map(
-        transform_points(T, joints), ObjectMesh(mesh_id="m", vertices=transform_points(T, verts)),
+        ObjectMesh(mesh_id="m", vertices=transform_points(T, verts)).query_distances(
+            transform_points(T, joints)),
         thr,
     )
     np.testing.assert_array_equal(before.contact, after.contact)
@@ -222,6 +225,54 @@ def test_rigid_transform_validation():
         validate_rigid_transform(M)
     with pytest.raises(ShapeError):
         validate_rigid_transform(np.eye(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [(0, 0), (1, 3), (3, 0), (3, 3)])
+def test_rigid_transform_refuses_non_finite_entries(bad, at):
+    T = np.eye(4)
+    T[at] = bad
+    with pytest.raises(ValidationError, match="non-finite entries"):
+        validate_rigid_transform(T)
+
+
+@pytest.mark.parametrize("col", range(4))
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_rigid_transform_bottom_row_tolerance(col, sign):
+    T = np.eye(4)
+    T[3, col] += sign * 5e-10  # within 1e-9 of (0, 0, 0, 1): accepted as given
+    np.testing.assert_array_equal(validate_rigid_transform(T), T)
+    T[3, col] = np.eye(4)[3, col] + sign * 2e-9
+    with pytest.raises(ValidationError, match=r"bottom row must be \(0, 0, 0, 1\)"):
+        validate_rigid_transform(T)
+
+
+@pytest.mark.parametrize("where", ["diagonal", "shear"])
+def test_rigid_transform_orthonormal_tolerance(where):
+    """max |R^T R - I| just under 1e-6 is accepted, just over it refused."""
+    def block(err):
+        T = rigid(rotation_from_angles(0.3, -0.7, 1.2), [0.1, 0.2, 0.3])
+        if where == "diagonal":  # |R^T R - I| = s^2 - 1 on the scaled column
+            T[:3, 0] *= np.sqrt(1.0 + err)
+        else:  # R = I + e E_01: R^T R - I has e off the diagonal and e^2 on it
+            T[:3, :3] = np.eye(3)
+            T[0, 1] = err
+        return T
+
+    T = block(0.9e-6)
+    np.testing.assert_array_equal(validate_rigid_transform(T), T)
+    with pytest.raises(ValidationError, match="not orthonormal"):
+        validate_rigid_transform(block(1.1e-6))
+
+
+@pytest.mark.parametrize("flip", [np.diag([1.0, 1.0, -1.0]), -np.eye(3),
+                                  np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])])
+def test_rigid_transform_refuses_reflections(flip):
+    T = rigid(rotation_from_angles(0.4, 1.1, -2.0) @ flip, [0.5, -0.5, 1.0])
+    with pytest.raises(ValidationError, match="positive determinant"):
+        validate_rigid_transform(T)
+    np.testing.assert_array_equal(validate_rigid_transform(rigid(flip @ flip, [0, 0, 0])),
+                                  np.eye(4))
 
 
 def test_transform_points_applies_rotation_then_translation():

@@ -25,7 +25,7 @@ from casar.errors import (
     ShapeError,
     ValidationError,
 )
-from casar.geometry import ContactThresholds, box_corners, expand_bbox_21
+from casar.geometry import ContactThresholds, box_corners, expand_bbox_21, label_contact_map
 from casar.pipeline import (
     ActionModuleConfig,
     ContactModuleConfig,
@@ -125,6 +125,39 @@ def test_derive_far_hands_are_all_distant(tiny_synth):
 def test_derive_missing_mesh_names_the_clip():
     with pytest.raises(ValidationError, match=r"c0.*m0"):
         derive_contact_dataset([far_clip()], {}, THRESHOLDS)
+
+
+def test_derive_gives_each_frame_the_bits_of_its_own_query(tiny_synth):
+    """One nearest-vertex query per clip labels each frame as a query of that frame alone."""
+    clips, meshes, _ = tiny_synth
+    held = [ActionClip(clip_id=f"{c.clip_id}_held", action_label=c.action_label,
+                       frames=tuple(FrameSample(hand=f.hand, object=c.frames[0].object)
+                                    for f in c.frames)) for c in clips]
+    single = [ActionClip(clip_id=f"{c.clip_id}_one", action_label=c.action_label,
+                         frames=c.frames[:1]) for c in clips + held]
+    clips = clips + held + single
+    assert len({c.mesh_id for c in clips}) >= 2
+    assert {len(c) for c in single} == {1} and min(len(c) for c in held) > 1
+
+    def own_query(clip, frame):
+        pose = frame.object.world_from_canonical
+        canonical = (frame.hand.joints() - pose[:3, 3]) @ pose[:3, :3]
+        return meshes[clip.mesh_id].query_distances(canonical)
+
+    dists = np.sort(np.concatenate([own_query(c, f) for c in clips for f in c.frames]))
+    # thresholds that sit exactly on distances some joints have: a distance
+    # one ulp away from its own query's would flip that joint's bit
+    for thr in (THRESHOLDS, ContactThresholds(float(dists[len(dists) // 8]),
+                                              float(dists[len(dists) // 2]))):
+        samples = iter(derive_contact_dataset(clips, meshes, thr))
+        for clip in clips:
+            for i, frame in enumerate(clip.frames):
+                s = next(samples)
+                assert (s.clip_id, s.frame_index) == (clip.clip_id, i)
+                want = label_contact_map(own_query(clip, frame), thr)
+                np.testing.assert_array_equal(s.target.contact, want.contact)
+                np.testing.assert_array_equal(s.target.distant, want.distant)
+        assert next(samples, None) is None
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,7 @@ def test_emitted_labels_are_self_consistent(tiny_synth):
         world = transform_points(frame.object.world_from_canonical,
                                  meshes[clip.mesh_id].vertices)
         posed = ObjectMesh(mesh_id="posed", vertices=world)
-        again = label_contact_map(frame.hand.joints(), posed, thr)
+        again = label_contact_map(posed.query_distances(frame.hand.joints()), thr)
         np.testing.assert_array_equal(again.contact, s.target.contact)
         np.testing.assert_array_equal(again.distant, s.target.distant)
 
@@ -115,7 +115,7 @@ def test_custom_thresholds_flow_into_the_labels():
         world = transform_points(frame.object.world_from_canonical,
                                  meshes[clip_by_id[s.clip_id].mesh_id].vertices)
         posed = ObjectMesh(mesh_id="posed", vertices=world)
-        again = label_contact_map(frame.hand.joints(), posed, loose)
+        again = label_contact_map(posed.query_distances(frame.hand.joints()), loose)
         np.testing.assert_array_equal(again.contact, s.target.contact)
         np.testing.assert_array_equal(again.distant, s.target.distant)
 
@@ -149,7 +149,7 @@ def test_noise_free_generation_also_labels_consistently():
         world = transform_points(frame.object.world_from_canonical,
                                  meshes[clip_by_id[s.clip_id].mesh_id].vertices)
         posed = ObjectMesh(mesh_id="posed", vertices=world)
-        again = label_contact_map(frame.hand.joints(), posed, thr)
+        again = label_contact_map(posed.query_distances(frame.hand.joints()), thr)
         np.testing.assert_array_equal(again.contact, s.target.contact)
 
 
