@@ -1,4 +1,4 @@
-"""Input encodings for per-frame samples and action clips.
+"""Dataset containers, built by ``clip_from_arrays``, and their input encodings.
 
 A frame encodes to a flat vector ``[hand joints | 21 object pose points |
 object one-hot]``; a clip is a fixed number of such frames flattened in
@@ -13,7 +13,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ShapeError, ValidationError, check_field_types
-from .geometry import ContactMap, ContactThresholds, as_points, validate_rigid_transform
+from .geometry import (ContactMap, ContactThresholds, as_points, expand_bbox_21,
+                       validate_rigid_transform)
 
 OBJECT_POSE_POINTS = 21  # center + 8 corners + 12 mid-edge points
 
@@ -174,8 +175,28 @@ class ContactSample:
 
     frame: FrameSample
     target: ContactMap
-    clip_id: str | None = None
-    frame_index: int | None = None
+    clip_id: str
+    frame_index: int
+
+
+def clip_from_arrays(clip_id: str, action_label: int, object_label: int,
+                     mesh_id: str | None, right, left, corners, poses) -> ActionClip:
+    """The clip whose frame t is row t of each per-frame array; the only frame builder.
+
+    ``right`` and ``left`` are ``(T, J, 3)`` joints, ``left`` None for one
+    hand; ``corners`` ``(T, 8, 3)`` box corners in canonical corner order,
+    expanded here to the 21 pose points; ``poses`` ``(T, 4, 4)`` transforms.
+    The frames hold views of these arrays, and their constructors check them.
+    """
+    lefts = [None] * len(right) if left is None else left
+    if not len(right) == len(lefts) == len(corners) == len(poses):
+        raise ShapeError(f"clip {clip_id!r}: per-frame arrays differ in length")
+    frames = tuple(
+        FrameSample(hand=HandPose(right=r, left=l), object=ObjectAnnotation(
+            label_id=object_label, pose_points=p, world_from_canonical=w, mesh_id=mesh_id))
+        for r, l, p, w in zip(right, lefts, expand_bbox_21(corners), poses)
+    )
+    return ActionClip(clip_id=clip_id, action_label=action_label, frames=frames)
 
 
 def _check_frame(frame: FrameSample, config: DatasetConfig) -> None:

@@ -70,10 +70,10 @@ class ObjectMesh:
     _tree: cKDTree = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        verts = as_points(self.vertices, f"mesh {self.mesh_id!r} vertices")
-        if len(verts) == 0:
-            raise ValidationError(f"mesh {self.mesh_id!r}: needs at least one vertex")
-        tree = build_vertex_index(verts)
+        try:
+            tree = build_vertex_index(self.vertices)
+        except ValidationError as exc:
+            raise type(exc)(f"mesh {self.mesh_id!r}: {exc}") from exc
         object.__setattr__(self, "_tree", tree)
         object.__setattr__(self, "vertices", tree.data)
 
@@ -191,7 +191,7 @@ def box_corners(low, high) -> np.ndarray:
 
 
 def expand_bbox_21(corners) -> np.ndarray:
-    """Expand 8 box corners into the 21-point pose representation.
+    """Expand 8 box corners ``(8, 3)``, or a stack ``(T, 8, 3)``, into 21 pose points.
 
     Output order: center, the 8 corners unchanged, then the 12 mid-edge
     points following ``BOX_EDGES``.  Corners must already be in canonical
@@ -199,15 +199,15 @@ def expand_bbox_21(corners) -> np.ndarray:
     ``ObjectAnnotation``.
     """
     c = np.asarray(corners, dtype=np.float64)
-    if c.shape != (8, 3):
-        raise ShapeError(f"expected 8 corners of shape (8, 3), got {c.shape}")
-    out = np.empty((21, 3))
-    out[1:9] = c
+    if c.shape[-2:] != (8, 3):
+        raise ShapeError(f"expected 8 corners of shape (..., 8, 3), got {c.shape}")
+    out = np.empty(c.shape[:-2] + (21, 3))
+    out[..., 1:9, :] = c
     with np.errstate(invalid="ignore"):  # inf + -inf is NaN, which the keeper refuses
-        center = out[0]
-        np.add.reduce(c, axis=0, out=center)  # the mean, as np.mean takes it
+        center = out[..., 0, :]
+        np.add.reduce(c, axis=-2, out=center)  # the mean, as np.mean takes it
         center /= 8
-        mids = out[9:]
-        np.add(c[_EDGE_LOW], c[_EDGE_HIGH], out=mids)
+        mids = out[..., 9:, :]
+        np.add(c[..., _EDGE_LOW, :], c[..., _EDGE_HIGH, :], out=mids)
         mids *= 0.5
     return out

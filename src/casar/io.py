@@ -37,16 +37,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .datamodel import (
-    ActionClip,
-    ContactSample,
-    DatasetConfig,
-    FrameSample,
-    HandPose,
-    ObjectAnnotation,
-)
-from .errors import DataIOError, ParseError, ValidationError
-from .geometry import ContactMap, ObjectMesh, as_points, expand_bbox_21
+from .datamodel import ActionClip, ContactSample, DatasetConfig, clip_from_arrays
+from .errors import DataIOError, ParseError
+from .geometry import ContactMap, ObjectMesh, as_points
 
 MESH_SUFFIX = ".obj"
 
@@ -143,44 +136,29 @@ def read_json_object(path, what: str) -> dict:
 _NUMBER_TYPES = {int, float}  # what json.loads makes of a JSON number; bool is not one
 
 
-def _matrix(raw, path, lineno, name, shape):
-    """A list of ``shape[0]`` rows of ``shape[1]`` JSON numbers, as float64.
+def _array(frames, key, shape, path, lineno):
+    """Field ``key`` of every frame as one float64 array, of shape ``(len(frames),) + shape``.
 
-    NaN and the infinities are JSON numbers to Python's reader; the
-    constructors that keep the values refuse them.
+    Each frame's field must be nested JSON lists of ``shape``.  Each level
+    is checked for all frames at once: lists of one length, then numbers at
+    the leaves.  NaN and the infinities are JSON numbers to Python's
+    reader; the constructors that keep the values refuse them.
     """
-    _require(isinstance(raw, list) and len(raw) == shape[0] and set(map(type, raw)) == {list},
-             path, lineno, f"{name} must be a list of {shape[0]} rows of {shape[1]} numbers")
-    _require(set(map(type, chain.from_iterable(raw))) <= _NUMBER_TYPES, path, lineno,
-             f"{name} must hold only numbers")
-    arr = np.asarray(raw, dtype=np.float64)
-    _require(arr.shape == shape, path, lineno, f"{name} has shape {arr.shape}")
-    return arr
-
-
-def _parse_frame(raw, clip_fields, config, path, lineno):
-    _require(isinstance(raw, dict), path, lineno, "frame must be an object")
-    J = config.joints_per_hand
-    left = raw.get("left")
-    if config.hands == 2:
-        _require(left is not None, path, lineno, "two-hand dataset but frame has left=null")
-        left = _matrix(left, path, lineno, "left", (J, 3))
-    else:
-        _require(left is None, path, lineno, "one-hand dataset but frame has a left hand")
-    right = _matrix(raw.get("right"), path, lineno, "right", (J, 3))
-    corners = _matrix(raw.get("bbox_corners"), path, lineno, "bbox_corners", (8, 3))
-    pose = _matrix(raw.get("object_pose"), path, lineno, "object_pose", (4, 4))
-    annotation = ObjectAnnotation(
-        label_id=clip_fields["object_label"],
-        pose_points=expand_bbox_21(corners),
-        world_from_canonical=pose,
-        mesh_id=clip_fields["mesh_id"],
-    )
-    return FrameSample(hand=HandPose(right=right, left=left), object=annotation)
+    level = raw = [f.get(key) for f in frames]
+    for n in shape:
+        _require(set(map(type, level)) == {list} and set(map(len, level)) == {n}, path, lineno,
+                 f"{key} must be {' x '.join(map(str, shape))} numbers in each frame")
+        level = list(chain.from_iterable(level))
+    _require(set(map(type, level)) <= _NUMBER_TYPES, path, lineno,
+             f"{key} must hold only numbers")
+    return np.asarray(raw, dtype=np.float64)
 
 
 def load_clips(path, config: DatasetConfig) -> list[ActionClip]:
-    """Load and validate a JSONL clip file; an empty file yields []."""
+    """Load and validate a JSONL clip file; an empty file yields [].
+
+    A clip's frames are built by ``clip_from_arrays`` from one array per frame field.
+    """
     clips = []
     seen = set()
     for lineno, rec in _load_jsonl(path):
@@ -201,13 +179,23 @@ def load_clips(path, config: DatasetConfig) -> list[ActionClip]:
         mesh_id = rec.get("mesh_id")
         _require(mesh_id is None or isinstance(mesh_id, str), path, lineno,
                  "mesh_id must be a string or null")
-        frames_raw = rec.get("frames")
-        _require(isinstance(frames_raw, list) and frames_raw, path, lineno,
+        frames = rec.get("frames")
+        _require(isinstance(frames, list) and frames, path, lineno,
                  "frames must be a non-empty list")
-        fields = {"object_label": obj, "mesh_id": mesh_id}
+        _require(set(map(type, frames)) == {dict}, path, lineno, "frame must be an object")
+        has_left = [f.get("left") is not None for f in frames]
+        if config.hands == 2:
+            _require(all(has_left), path, lineno, "two-hand dataset but frame has left=null")
+        else:
+            _require(not any(has_left), path, lineno,
+                     "one-hand dataset but frame has a left hand")
         with _record(path, lineno):
-            frames = tuple(_parse_frame(f, fields, config, path, lineno) for f in frames_raw)
-            clips.append(ActionClip(clip_id=clip_id, action_label=action, frames=frames))
+            J = config.joints_per_hand
+            left = _array(frames, "left", (J, 3), path, lineno) if config.hands == 2 else None
+            clips.append(clip_from_arrays(
+                clip_id, action, obj, mesh_id, _array(frames, "right", (J, 3), path, lineno),
+                left, _array(frames, "bbox_corners", (8, 3), path, lineno),
+                _array(frames, "object_pose", (4, 4), path, lineno)))
     return clips
 
 
@@ -335,13 +323,9 @@ def load_contact_targets(path, clips, config: DatasetConfig) -> list[ContactSamp
 
 
 def write_contact_targets(samples, path) -> None:
-    """Write contact samples as canonical JSON Lines (needs provenance ids)."""
+    """Write contact samples as canonical JSON Lines."""
     with atomic_write(path) as fh:
         for s in samples:
-            if s.clip_id is None or s.frame_index is None:
-                raise ValidationError(
-                    "contact sample lacks clip_id/frame_index; cannot serialize"
-                )
             rec = {
                 "clip_id": s.clip_id,
                 "frame_index": int(s.frame_index),

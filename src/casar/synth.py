@@ -23,20 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import (
-    ActionClip,
-    ContactSample,
-    FrameSample,
-    HandPose,
-    ObjectAnnotation,
-)
+from .datamodel import ActionClip, ContactSample, clip_from_arrays
 from .errors import NumericError, ValidationError, check_field_types
-from .geometry import (
-    ContactThresholds,
-    ObjectMesh,
-    box_corners,
-    expand_bbox_21,
-)
+from .geometry import ContactThresholds, ObjectMesh, box_corners
 from .pipeline import derive_contact_dataset
 
 HAND_JOINTS = 21
@@ -474,38 +463,29 @@ def _build_clip(
         rng.uniform(-0.12, 0.12), rng.uniform(-0.12, 0.12), rng.uniform(0.33, 0.57),
     ])
 
-    frames = []
+    acting_w = np.empty((n_frames, HAND_JOINTS, 3))
+    other_w = np.empty((n_frames, HAND_JOINTS, 3))
+    corners = np.empty((n_frames, 8, 3))
+    poses = np.tile(np.eye(4), (n_frames, 1, 1))
     for i in range(n_frames):
         jitter_rot = _rotation_about(_random_unit(rng), rng.uniform(0.0, 0.10))
         jitter_pos = rng.uniform(-0.02, 0.02, size=3)
-        # the pose is checked once, by ObjectAnnotation below
-        world = np.eye(4)
+        # the pose is checked once, when clip_from_arrays builds the frame
+        world = poses[i]
         world[:3, :3] = jitter_rot @ scene_rot
         world[:3, 3] = scene_pos + jitter_pos
         rot_t, shift = world[:3, :3].T, world[:3, 3]
 
         acting = placement.acting_joints + offsets[i] * placement.approach_dir
-        acting_w = acting @ rot_t + shift
-        other_w = placement.other_joints @ rot_t + shift
+        acting_w[i] = acting @ rot_t + shift
+        other_w[i] = placement.other_joints @ rot_t + shift
         if noise_sigma > 0.0:
-            acting_w = acting_w + rng.normal(0.0, noise_sigma, size=acting_w.shape)
-            other_w = other_w + rng.normal(0.0, noise_sigma, size=other_w.shape)
+            acting_w[i] += rng.normal(0.0, noise_sigma, size=(HAND_JOINTS, 3))
+            other_w[i] += rng.normal(0.0, noise_sigma, size=(HAND_JOINTS, 3))
+        corners[i] = canon_corners[obj_id] @ rot_t + shift
 
-        if cspec.acting == "right":
-            hand = HandPose(right=acting_w, left=other_w)
-        else:
-            hand = HandPose(right=other_w, left=acting_w)
-
-        pose_points = expand_bbox_21(canon_corners[obj_id] @ rot_t + shift)
-        annotation = ObjectAnnotation(
-            label_id=obj_id,
-            pose_points=pose_points,
-            world_from_canonical=world,
-            mesh_id=mesh.mesh_id,
-        )
-        frames.append(FrameSample(hand=hand, object=annotation))
-
-    return ActionClip(clip_id=clip_id, action_label=class_id, frames=tuple(frames))
+    right, left = (acting_w, other_w) if cspec.acting == "right" else (other_w, acting_w)
+    return clip_from_arrays(clip_id, class_id, obj_id, mesh.mesh_id, right, left, corners, poses)
 
 
 def synth_generate(

@@ -1,5 +1,6 @@
 """Encodings, resampling, containers, and dataset file round trips."""
 
+import errno
 import json
 from dataclasses import dataclass
 
@@ -15,12 +16,13 @@ from casar.datamodel import (
     FrameSample,
     HandPose,
     ObjectAnnotation,
+    clip_from_arrays,
     encode_clip,
     encode_frame,
     resample_frames,
     resample_indices,
 )
-from casar.errors import ParseError, ShapeError, ValidationError, check_field_types
+from casar.errors import DataIOError, ParseError, ShapeError, ValidationError, check_field_types
 from casar.geometry import ContactMap, box_corners, expand_bbox_21
 from casar.io import (
     load_clips,
@@ -284,11 +286,70 @@ def test_failed_contact_write_keeps_the_old_file(tiny_synth, tmp_path):
     path = tmp_path / "contacts.jsonl"
     write_contact_targets(samples[:2], path)
     before = path.read_bytes()
-    orphan = ContactSample(frame=samples[0].frame, target=samples[0].target)
-    with pytest.raises(ValidationError, match="clip_id"):
-        write_contact_targets(samples + [orphan], path)
+
+    def disk_full_after(samples):  # the write fails after every record has gone out
+        yield from samples
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with pytest.raises(DataIOError, match="No space left on device"):
+        write_contact_targets(disk_full_after(samples), path)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["contacts.jsonl"]
+
+
+def _stacked(clip):
+    """A clip's right, left, corners and poses, each stacked over its frames."""
+    f = clip.frames
+    left = None if f[0].hand.left is None else np.stack([x.hand.left for x in f])
+    return (np.stack([x.hand.right for x in f]), left,
+            np.stack([x.object.pose_points[1:9] for x in f]),
+            np.stack([x.object.world_from_canonical for x in f]))
+
+
+def _bits(clip):
+    """Every bit of a clip's frame arrays, with its labels and mesh id."""
+    arrays = [(f.hand.right, f.hand.left, f.object.pose_points, f.object.world_from_canonical)
+              for f in clip.frames]
+    return (clip.clip_id, clip.action_label, clip.object_label, clip.mesh_id,
+            [None if a is None else (a.dtype, a.shape, a.tobytes())
+             for frame in arrays for a in frame])
+
+
+def test_synth_loader_and_builder_give_the_same_bits(tiny_synth, tmp_path):
+    clips = tiny_synth[0]
+    write_clips(clips, tmp_path / "clips.jsonl")
+    loaded = load_clips(tmp_path / "clips.jsonl", DatasetConfig())
+    built = [clip_from_arrays(c.clip_id, c.action_label, c.object_label, c.mesh_id,
+                              *_stacked(c)) for c in clips]
+    want = [_bits(c) for c in clips]
+    assert [_bits(c) for c in loaded] == want
+    assert [_bits(c) for c in built] == want
+
+
+def test_one_hand_clip_file_round_trips_byte_for_byte(tiny_synth, tmp_path):
+    one_hand = []
+    for c in tiny_synth[0]:
+        right, _, corners, poses = _stacked(c)
+        one_hand.append(clip_from_arrays(c.clip_id, c.action_label, c.object_label,
+                                         c.mesh_id, right, None, corners, poses))
+    write_clips(one_hand, tmp_path / "a.jsonl")
+    back = load_clips(tmp_path / "a.jsonl", DatasetConfig(hands=1))
+    assert [_bits(c) for c in back] == [_bits(c) for c in one_hand]
+    write_clips(back, tmp_path / "b.jsonl")
+    text = (tmp_path / "a.jsonl").read_bytes()
+    assert b'"left":null' in text and b'"left":[' not in text
+    assert (tmp_path / "b.jsonl").read_bytes() == text
+
+
+def test_clip_from_arrays_refuses_arrays_of_different_lengths():
+    corners = np.stack([box_corners([0, 0, 0], [0.1, 0.1, 0.1])] * 3)
+    joints, poses = np.zeros((3, 21, 3)), np.stack([np.eye(4)] * 3)
+    clip = clip_from_arrays("c", 0, 0, None, joints, None, corners, poses)
+    assert len(clip) == 3 and clip.frames[2].hand.left is None
+    for args in [(joints[:2], None, corners, poses), (joints, joints[:2], corners, poses),
+                 (joints, None, corners[:2], poses), (joints, None, corners, poses[:2])]:
+        with pytest.raises(ShapeError, match="differ in length"):
+            clip_from_arrays("c", 0, 0, None, *args)
 
 
 def test_mesh_dir_round_trip(tiny_synth, tmp_path):

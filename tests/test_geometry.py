@@ -340,6 +340,16 @@ def test_expand_bbox_21_equivariant_under_rigid_motion(low, extent, angles, tran
 def test_expand_bbox_21_needs_eight_corners():
     with pytest.raises(ShapeError):
         expand_bbox_21(np.zeros((7, 3)))
+    with pytest.raises(ShapeError):
+        expand_bbox_21(np.zeros((3, 7, 3)))
+
+
+def test_expand_bbox_21_gives_each_set_of_a_stack_its_own_bits(rng):
+    corners = rng.normal(size=(40, 8, 3)) * 10.0 ** rng.uniform(-3, 3, size=(40, 8, 1))
+    stack = expand_bbox_21(corners)
+    assert stack.shape == (40, 21, 3)
+    for t in range(40):
+        assert stack[t].tobytes() == expand_bbox_21(corners[t]).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +357,12 @@ def test_expand_bbox_21_needs_eight_corners():
 
 
 def test_object_mesh_validation():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^mesh 'empty': cannot index an empty vertex"):
         ObjectMesh(mesh_id="empty", vertices=np.zeros((0, 3)))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^mesh 'nan': vertices: contains non-finite"):
         ObjectMesh(mesh_id="nan", vertices=np.array([[np.nan, 0.0, 0.0]]))
+    with pytest.raises(ShapeError, match="^mesh 'flat': vertices: expected \\(N, 3\\)"):
+        ObjectMesh(mesh_id="flat", vertices=np.zeros((4, 2)))
 
 
 def test_obj_round_trip_is_exact(tmp_path):

@@ -138,6 +138,37 @@ def test_malformed_record_is_a_parse_error_and_exits_2(
     assert json.loads(err[0])["error"] == "ParseError"
 
 
+LATE_BAD_FRAMES = {
+    "left_null": (("frames", 1, "left"), None),
+    "short_right_row": (("frames", 2, "right", 4), [0.0, 0.0]),
+    "string_corner": (("frames", 1, "bbox_corners", 3, 1), "0.5"),
+    "pose_3x4": (("frames", 2, "object_pose"), [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                                                [0.0, 0.0, 1.0, 0.0]]),
+    "frame_not_object": (("frames", 1), [1, 2]),
+    # an int too large for a float: its OverflowError must not escape the loader
+    "huge_coordinate": (("frames", 2, "right", 0, 0), 10**400),
+}
+
+
+@pytest.mark.parametrize("where,value", LATE_BAD_FRAMES.values(), ids=LATE_BAD_FRAMES.keys())
+def test_a_bad_frame_after_the_first_is_a_parse_error_and_exits_2(
+        tmp_path, records, inputs, capsys, where, value):
+    clips, samples = records
+    with pytest.raises(ParseError, match="^" + re.escape(f"{tmp_path / 'clips'}.jsonl:1: ")):
+        _load(tmp_path, clips, samples, "clips", where, value)
+    root = inputs[0]
+    for argv in (["derive-contact", "--clips", str(tmp_path / "clips.jsonl"),
+                  "--meshes", str(root / "data" / "meshes"), "--out", str(tmp_path / "c")],
+                 ["predict", "--clip", str(tmp_path / "clips.jsonl"),
+                  "--contact-ckpt", str(root / "f.ckpt"), "--action-ckpt", str(root / "g.ckpt")]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "ParseError"
+    assert not (tmp_path / "c").exists()
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
