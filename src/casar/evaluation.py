@@ -134,7 +134,7 @@ def evaluate_pipeline(
     """Score action classification on clips and contact prediction on frames.
 
     ``score_clips`` scores the clips in blocks, so beside the scores memory
-    holds one block of f rows and one block of clip features; ties go to
+    holds one clip's f rows and one block of clip features; ties go to
     the lowest class index as in ``predict_action``.  Contact accuracy runs
     f on the raw (un-resampled) frames in ``contact_samples``, one row per
     frame.  Pass an empty list when no ground-truth targets exist: the

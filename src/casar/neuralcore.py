@@ -1,13 +1,20 @@
 """Dense network machinery written against numpy only.
 
 One layout and one input shape: a network's parameters, its gradients
-and Adam's two moments are each one flat float64 vector in the
-``layer_views`` layout, and every pass runs on a (batch, width) matrix.
+and Adam's two moments are each one flat vector in the ``layer_views``
+layout, and every pass runs on a (batch, width) matrix.
 Forward/backward passes, the focal and cross-entropy losses, and the
 Adam update are all explicit here; no autodiff framework is involved.
-Math runs in double precision so that analytic gradients can be checked
-against central finite differences.  The step-decay learning rate is a
-formula over the module configs' fields, in ``pipeline.lr_at``.
+
+One precision rule: every array takes the dtype of the model's
+parameters, float32 or float64.  Inputs are cast to it once on entry;
+activations, gradients, losses, Adam's moments and its scratch blocks
+are made in it, so nothing is silently widened.  ``pipeline`` fixes the
+dtype per network: the action network g trains in float32, the
+precision its checkpoint stores, and the contact network f in float64.
+Analytic gradients are checked against central finite differences in
+float64.  The step-decay learning rate is a formula over the module
+configs' fields, in ``pipeline.lr_at``.
 
 ``adam_step`` splits a long flat vector into contiguous ranges, one per
 core that BLAS leaves idle plus the caller's own (``_adam_threads``),
@@ -33,6 +40,7 @@ IDENTITY = "identity"
 _ACTIVATIONS = (RELU, SIGMOID, IDENTITY)
 
 PRED_CLAMP = 1e-7  # probabilities are clamped to [PRED_CLAMP, 1 - PRED_CLAMP] before any log
+PARAMETER_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 def parameter_count(layer_dims) -> int:
@@ -67,9 +75,9 @@ def layer_views(params: np.ndarray, shapes) -> tuple[list[np.ndarray], list[np.n
 class MlpModel:
     """Weights, biases, and per-layer activation names of a dense network.
 
-    ``params`` is one contiguous float64 vector in the ``layer_views``
-    layout for ``layer_dims``, wrapped without a copy; ``weights[l]``
-    (shape (d_out, d_in)) and ``biases[l]`` are views into it.  Hidden
+    ``params`` is one contiguous float32 or float64 vector in the
+    ``layer_views`` layout for ``layer_dims``, wrapped without a copy;
+    ``weights[l]`` (shape (d_out, d_in)) and ``biases[l]`` are views into it.  Hidden
     layers rectify, and the output layer is sigmoid in the standard
     configs (identity supports the softmax classification head).
     """
@@ -78,7 +86,7 @@ class MlpModel:
         dims = list(layer_dims)
         if len(dims) < 2 or len(activations) != len(dims) - 1:
             raise ValidationError(f"{len(activations)} activations for layer dims {dims}")
-        if params.dtype != np.float64 or params.shape != (parameter_count(dims),):
+        if params.dtype not in PARAMETER_DTYPES or params.shape != (parameter_count(dims),):
             raise ShapeError(f"parameters {params.dtype}{params.shape} do not fit dims {dims}")
         self.params = params
         self.layer_dims = dims
@@ -99,13 +107,15 @@ class MlpModel:
         return self.params.tobytes()
 
 
-def init_model(layer_dims, seed: int, output_activation: str = SIGMOID) -> MlpModel:
-    """Glorot-uniform weights (+-sqrt(6/(fan_in+fan_out))), zero biases.
+def init_model(layer_dims, seed: int, output_activation: str = SIGMOID,
+               dtype=np.float64) -> MlpModel:
+    """Glorot-uniform weights (+-sqrt(6/(fan_in+fan_out))), zero biases, in ``dtype``.
 
     Deterministic for a fixed seed.  Hidden layers rectify.  Each weight
-    view is filled in place with the values ``rng.uniform(-limit, limit)``
-    would return, ``-limit + (limit - -limit) * u``, so no per-layer array
-    is built.
+    gets the float64 values ``rng.uniform(-limit, limit)`` would return,
+    ``-limit + (limit - -limit) * u``, whatever ``dtype``: in float64 the
+    weight view is filled in place, so no per-layer array is built; in
+    float32 one float64 layer is drawn and then cast into the view once.
     """
     dims = list(layer_dims)
     if len(dims) < 2:
@@ -115,14 +125,17 @@ def init_model(layer_dims, seed: int, output_activation: str = SIGMOID) -> MlpMo
     if output_activation not in _ACTIVATIONS:
         raise ValidationError(f"unknown output activation {output_activation!r}")
     rng = np.random.default_rng(seed)
-    params = np.zeros(parameter_count(dims))
+    params = np.zeros(parameter_count(dims), dtype=dtype)
     weights, _ = layer_views(params, weight_shapes(dims))
     for W in weights:
         d_out, d_in = W.shape
         limit = np.sqrt(6.0 / (d_in + d_out))
-        rng.random(out=W)
-        W *= limit - -limit
-        W += -limit
+        draw = W if W.dtype == np.float64 else np.empty(W.shape)
+        rng.random(out=draw)
+        draw *= limit - -limit
+        draw += -limit
+        if draw is not W:
+            W[...] = draw
     acts = [RELU] * (len(dims) - 2) + [output_activation]
     return MlpModel(params, dims, acts)
 
@@ -161,7 +174,7 @@ def forward(model: MlpModel, X) -> tuple[np.ndarray, list[np.ndarray]]:
     every layer's activations, which is all ``backward`` needs: each
     activation's derivative is computed from the activation itself.
     """
-    x = np.asarray(X, dtype=np.float64)
+    x = np.asarray(X, dtype=model.params.dtype)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise ShapeError(f"input shape {x.shape} is not a (batch, width {model.input_dim}) batch")
     acts = [x]
@@ -175,9 +188,9 @@ def forward(model: MlpModel, X) -> tuple[np.ndarray, list[np.ndarray]]:
 
 
 def _check_layout(model: MlpModel, grads: np.ndarray) -> None:
-    if grads.shape != model.params.shape:
-        raise ShapeError(f"gradient layout {grads.shape} does not match model parameters "
-                         f"{model.params.shape}")
+    if grads.shape != model.params.shape or grads.dtype != model.params.dtype:
+        raise ShapeError(f"gradient layout {grads.dtype}{grads.shape} does not match model "
+                         f"parameters {model.params.dtype}{model.params.shape}")
 
 
 def backward(model: MlpModel, acts: list[np.ndarray], grad_outputs,
@@ -185,13 +198,13 @@ def backward(model: MlpModel, acts: list[np.ndarray], grad_outputs,
     """Exact reverse-mode gradients for the forward pass that gave ``acts``.
 
     Each layer's gradients are written straight into the ``layer_views``
-    of ``grads``, a float64 vector laid out like the model's parameters,
-    whose old values are overwritten; ``grads`` is returned.  A training
+    of ``grads``, a vector of the parameters' dtype and layout, whose old
+    values are overwritten; ``grads`` is returned.  A training
     loop passes the same vector every step, so no gradient memory is
     allocated.
     """
     _check_layout(model, grads)
-    g = np.asarray(grad_outputs, dtype=np.float64)
+    g = np.asarray(grad_outputs, dtype=model.params.dtype)
     if g.shape != acts[-1].shape:
         raise ShapeError(
             f"output gradient shape {g.shape} does not match forward outputs {acts[-1].shape}"
@@ -207,6 +220,12 @@ def backward(model: MlpModel, acts: list[np.ndarray], grad_outputs,
     return grads
 
 
+def _outputs(a) -> np.ndarray:
+    """``a`` as an array: float32 and float64 stay as they are, anything else becomes float64."""
+    a = np.asarray(a)
+    return a if a.dtype in PARAMETER_DTYPES else a.astype(np.float64)
+
+
 def clamp_probs(pred: np.ndarray) -> np.ndarray:
     return np.clip(pred, PRED_CLAMP, 1.0 - PRED_CLAMP)
 
@@ -219,9 +238,10 @@ def focal_loss(pred, target, alpha: float, gamma: float) -> tuple[float, np.ndar
         -[alpha * q * (1-p)^gamma * log(p)
           + (1-alpha) * (1-q) * p^gamma * log(1-p)]
     The mean runs over the batch and the target dimensions together.
+    The targets and the gradient take ``pred``'s dtype.
     """
-    p_raw = np.asarray(pred, dtype=np.float64)
-    q = np.asarray(target, dtype=np.float64)
+    p_raw = _outputs(pred)
+    q = np.asarray(target, dtype=p_raw.dtype)
     if p_raw.shape != q.shape:
         raise ShapeError(f"pred shape {p_raw.shape} != target shape {q.shape}")
     a, g = alpha, gamma
@@ -253,9 +273,10 @@ def action_loss(pred, labels) -> tuple[float, np.ndarray]:
     """Cross-entropy -log(pred[label]) over sigmoid-head class outputs.
 
     ``pred`` is a batch with one integer label per row; the loss averages
-    over the batch and the gradient carries the same 1/batch factor.
+    over the batch and the gradient carries the same 1/batch factor; the
+    gradient takes ``pred``'s dtype.
     """
-    p = np.asarray(pred, dtype=np.float64)
+    p = _outputs(pred)
     y = np.asarray(labels)
     _check_labels(p, y)
     n = p.shape[0]
@@ -274,8 +295,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def softmax_action_loss(logits, labels) -> tuple[float, np.ndarray]:
-    """Cross-entropy over a softmax of raw class scores (identity head)."""
-    z = np.asarray(logits, dtype=np.float64)
+    """Cross-entropy over a softmax of raw class scores (identity head), in ``logits``' dtype."""
+    z = _outputs(logits)
     y = np.asarray(labels)
     _check_labels(z, y)
     n = z.shape[0]
@@ -292,7 +313,8 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # elements per pass of an adam_step range (one range per _adam_threads, each with
-# two scratch blocks of its own): 256 KB per operand stays in cache
+# two scratch blocks of its own): 256 KB per float64 operand, 128 KB per float32
+# operand, stays in cache
 ADAM_BLOCK = 32768
 ADAM_MIN_BLOCKS = 4  # shortest range given its own thread: ~1 ms of work against ~0.1 ms to start one
 ADAM_MAX_THREADS = 2  # the split was timed on two cores only
@@ -311,7 +333,7 @@ def init_adam(model: MlpModel) -> AdamState:
     return AdamState(m=np.zeros_like(model.params), v=np.zeros_like(model.params))
 
 
-TRAIN_BYTES_PER_PARAMETER = 32  # float64 parameters, gradients, and Adam's m and v
+TRAIN_VECTORS = 4  # flat vectors a fit holds: parameters, gradients, and Adam's m and v
 _MEMINFO = "/proc/meminfo"
 
 
@@ -345,15 +367,16 @@ def check_memory(layer_dims, bytes_per_parameter: int, task: str) -> None:
         )
 
 
-def check_training_memory(layer_dims) -> None:
-    """Refuse to train a network whose float64 training state cannot fit.
+def check_training_memory(layer_dims, dtype) -> None:
+    """Refuse to train a network whose training state in ``dtype`` cannot fit.
 
-    Training peaks at ``TRAIN_BYTES_PER_PARAMETER`` bytes per parameter
-    (parameters, one gradient vector, Adam's two moments) plus the feature
-    matrix, one mini-batch, and two ``ADAM_BLOCK`` scratch blocks (512 KB)
-    per Adam range, one range per ``_adam_threads``.
+    Training peaks at ``TRAIN_VECTORS`` values of ``dtype`` per parameter
+    (parameters, one gradient vector, Adam's two moments), 16 bytes in
+    float32 and 32 in float64, plus the feature matrix, one mini-batch,
+    and two ``ADAM_BLOCK`` scratch blocks (256 KB in float32, 512 KB in
+    float64) per Adam range, one range per ``_adam_threads``.
     """
-    check_memory(layer_dims, TRAIN_BYTES_PER_PARAMETER, "training")
+    check_memory(layer_dims, TRAIN_VECTORS * np.dtype(dtype).itemsize, "training")
 
 
 try:  # numpy's OpenBLAS thread-count controls; without them, a count of None and a no-op
@@ -397,9 +420,13 @@ def _adam_ranges(n: int, threads: int) -> list[tuple[int, int]]:
 
 
 def _adam_walk(p_all, g_all, m_all, v_all, lr, corr1, corr2, start, stop) -> None:
-    """The Adam update of elements [start, stop), in place, through two scratch blocks."""
+    """The Adam update of elements [start, stop), in place, through two scratch blocks.
+
+    The scratch blocks take the parameters' dtype, and every scalar is a
+    Python float, so each operation runs in that dtype.
+    """
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    x_all = np.empty(min(stop - start, ADAM_BLOCK))
+    x_all = np.empty(min(stop - start, ADAM_BLOCK), dtype=p_all.dtype)
     y_all = np.empty_like(x_all)
     for lo in range(start, stop, ADAM_BLOCK):
         hi = min(lo + ADAM_BLOCK, stop)
@@ -444,7 +471,7 @@ def adam_step(model: MlpModel, grads: np.ndarray, state: AdamState,
         raise ValidationError(f"learning rate must be positive, got {lr}")
     _check_layout(model, grads)
     state.t += 1
-    args = (model.params, grads, state.m, state.v, lr,
+    args = (model.params, grads, state.m, state.v, float(lr),
             1.0 - ADAM_BETA1**state.t, 1.0 - ADAM_BETA2**state.t)
     first, *rest = _adam_ranges(model.params.size, _adam_threads())
     errors: list[BaseException] = []

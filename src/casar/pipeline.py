@@ -4,8 +4,9 @@ Stage one derives per-frame contact targets from posed meshes and fits f
 with the focal loss.  Stage two freezes f, augments every resampled clip
 with f's per-frame predictions, and fits the classifier g on the flat
 augmented vectors.  Checkpoints are a small binary format with a JSON
-sidecar; training parameters stay double precision internally and are
-stored as single precision.
+sidecar that stores parameters in single precision.  f trains in double
+precision (``F_DTYPE``); g, whose parameters dominate, trains in the
+single precision its checkpoint stores (``G_DTYPE``).
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
 _MAX_LAYERS = 64
 SCORE_BLOCK_ROWS = 4096  # frames per block of clips that score_clips builds and scores
 F_BLOCK_ROWS = 32  # rows per forward of f outside training: one shape, so a row's bits are its own
+F_DTYPE = np.float64  # f's parameters, and so every array of its training and scoring
+G_DTYPE = np.float32  # g's parameters and feature matrix in training: a checkpoint's precision
 
 
 def _check_fit_fields(config) -> None:
@@ -201,9 +204,10 @@ def _fit(
     generator seeded with ``config.seed``.  Returns one mean loss per
     epoch, averaged over all rows.  BLAS runs on one thread, so the bytes
     do not depend on the caller's count, restored on return.  The working
-    set is fixed: parameters, one gradient vector, Adam's moments, two
-    256 KB Adam scratch blocks per Adam thread, and one mini-batch with its
-    activations, dropped before the next is drawn.  A ``NumericError`` is
+    set is fixed, all in the parameters' dtype: parameters, one gradient
+    vector, Adam's moments, two ``ADAM_BLOCK`` scratch blocks per Adam
+    thread, and one mini-batch with its activations, dropped before the
+    next is drawn.  A ``NumericError`` is
     re-raised naming the network and the epoch and step (from 0).
     """
     net = "contact network f" if isinstance(config, ContactModuleConfig) else "action network g"
@@ -250,14 +254,14 @@ def train_contact_module(
         raise ValidationError("cannot train the contact module on an empty sample list")
     dims = [data_config.frame_dim, config.hidden_width, config.hidden_width,
             data_config.contact_dim]
-    nn.check_training_memory(dims)
+    nn.check_training_memory(dims, F_DTYPE)
     X = np.stack([encode_frame(s.frame, data_config) for s in samples])
     Y = np.stack([s.target.as_target_vector() for s in samples])
     if Y.shape[1] != data_config.contact_dim:
         raise ShapeError(
             f"targets have width {Y.shape[1]}, config expects {data_config.contact_dim}"
         )
-    model = nn.init_model(dims, seed=config.seed)
+    model = nn.init_model(dims, seed=config.seed, dtype=F_DTYPE)
     history = _fit(model, X, Y, partial(nn.focal_loss, alpha=config.focal_alpha,
                                        gamma=config.focal_gamma), config)
     return TrainedContactModule(model=model, config=config), history
@@ -279,32 +283,38 @@ def clip_features(
     contact: TrainedContactModule | None,
     config: ActionModuleConfig,
     data_config: DatasetConfig,
+    dtype=np.float64,
 ) -> np.ndarray:
-    """Resample clips and build the ``(clips, width)`` matrix g consumes.
+    """Resample clips and build the ``(clips, width)`` matrix g consumes, in ``dtype``.
 
-    With ``augment_contact``, f runs on all the resampled frames at once and its
+    With ``augment_contact``, f runs on each clip's resampled frames and its
     outputs (optionally binarized, optionally masked by half) follow each
-    frame's encoding; otherwise a row is the plain clip encoding.
+    frame's encoding; otherwise a row is the plain clip encoding.  f reads,
+    and its outputs are binarized, in f's own precision; each value is cast
+    to ``dtype`` once, as it is written into the matrix, which is the only
+    whole matrix built.  f gives a row the same bits alone or in a stack
+    (``predict_contact``), so running it clip by clip changes no bit.
     """
     if config.augment_contact and contact is None:
         raise ValidationError("augment_contact requires a trained contact module")
-    n_f, fd = data_config.frames_per_clip, data_config.frame_dim
+    if config.augment_contact and contact.model.layer_dims[-1] != data_config.contact_dim:
+        raise ShapeError(f"contact module emits {contact.model.layer_dims[-1]} values, "
+                         f"config expects {data_config.contact_dim}")
+    n_f, fd, J = data_config.frames_per_clip, data_config.frame_dim, data_config.joint_count
     width = data_config.augmented_frame_dim if config.augment_contact else fd
-    X = np.empty((len(clips), n_f, width))
+    X = np.empty((len(clips), n_f, width), dtype=dtype)
     for i, clip in enumerate(clips):
-        X[i, :, :fd] = encode_clip(resample_frames(clip, n_f), data_config).reshape(n_f, fd)
-    if config.augment_contact:
-        if contact.model.layer_dims[-1] != data_config.contact_dim:
-            raise ShapeError(f"contact module emits {contact.model.layer_dims[-1]} values, "
-                             f"config expects {data_config.contact_dim}")
-        probs = X[:, :, fd:]  # a view: f's outputs land in X
-        probs[...] = predict_contact(contact, X[:, :, :fd].reshape(-1, fd)).reshape(probs.shape)
-        if config.binarize_contact:
-            probs[...] = probs >= 0.5
-        if config.mask_contact:
-            probs[:, :, :data_config.joint_count] = 0.0
-        if config.mask_distant:
-            probs[:, :, data_config.joint_count:] = 0.0
+        frames = encode_clip(resample_frames(clip, n_f), data_config).reshape(n_f, fd)
+        X[i, :, :fd] = frames
+        if config.augment_contact:
+            probs = predict_contact(contact, frames)
+            if config.binarize_contact:
+                probs = probs >= 0.5
+            if config.mask_contact:
+                probs[:, :J] = 0
+            if config.mask_distant:
+                probs[:, J:] = 0
+            X[i, :, fd:] = probs
     return X.reshape(len(clips), n_f * width)
 
 
@@ -332,13 +342,14 @@ def train_action_module(
 
     width = data_config.augmented_clip_dim if config.augment_contact else data_config.clip_dim
     dims = [width, config.hidden_width, config.hidden_width, n_classes]
-    nn.check_training_memory(dims)
+    nn.check_training_memory(dims, G_DTYPE)
 
     digest_before = contact.parameter_digest() if contact is not None else None
-    X = clip_features(clips, contact, config, data_config)
+    X = clip_features(clips, contact, config, data_config, G_DTYPE)
 
     head_activation = nn.SIGMOID if config.action_head == "sigmoid_ce" else nn.IDENTITY
-    model = nn.init_model(dims, seed=config.seed, output_activation=head_activation)
+    model = nn.init_model(dims, seed=config.seed, output_activation=head_activation,
+                          dtype=G_DTYPE)
     loss_fn = nn.action_loss if config.action_head == "sigmoid_ce" else nn.softmax_action_loss
     history = _fit(model, X, labels, loss_fn, config)
     if contact is not None and contact.parameter_digest() != digest_before:
@@ -352,15 +363,17 @@ def score_clips(
     clips: list[ActionClip],
     data_config: DatasetConfig,
 ) -> np.ndarray:
-    """g's raw outputs, one row per clip.
+    """g's raw outputs, one row per clip, in g's dtype.
 
-    Features are built and scored for ``SCORE_BLOCK_ROWS // frames_per_clip`` clips at a time.
+    Features are built, in g's dtype, and scored for
+    ``SCORE_BLOCK_ROWS // frames_per_clip`` clips at a time.
     """
+    dtype = action.model.params.dtype
     per_block = max(1, SCORE_BLOCK_ROWS // data_config.frames_per_clip)
-    scores = np.empty((len(clips), action.model.layer_dims[-1]))
+    scores = np.empty((len(clips), action.model.layer_dims[-1]), dtype=dtype)
     for start in range(0, len(clips), per_block):
         block = slice(start, start + per_block)
-        X = clip_features(clips[block], contact, action.config, data_config)
+        X = clip_features(clips[block], contact, action.config, data_config, dtype)
         scores[block] = nn.forward(action.model, X)[0]
     return scores
 

@@ -8,6 +8,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,8 +265,11 @@ def test_model_rejects_inconsistent_layers():
     n = parameter_count([5, 4, 3])
     with pytest.raises(ShapeError):
         MlpModel(np.zeros(n + 1), [5, 4, 3], [RELU, SIGMOID])
-    with pytest.raises(ShapeError):
-        MlpModel(np.zeros(n, dtype=np.float32), [5, 4, 3], [RELU, SIGMOID])
+    for dtype in (np.float32, np.float64):  # the two parameter precisions
+        assert MlpModel(np.zeros(n, dtype=dtype), [5, 4, 3], [RELU, SIGMOID]).params.dtype == dtype
+    for dtype in (np.float16, np.int64, np.int32):
+        with pytest.raises(ShapeError):
+            MlpModel(np.zeros(n, dtype=dtype), [5, 4, 3], [RELU, SIGMOID])
     with pytest.raises(ValidationError):
         MlpModel(np.zeros(n), [5, 4, 3], [RELU])
     with pytest.raises(ValidationError):
@@ -321,6 +325,41 @@ def test_forward_is_pure():
     a, _ = forward(model, x)
     b, _ = forward(model, x)
     np.testing.assert_array_equal(a, b)
+
+
+def test_float32_model_keeps_every_array_in_float32():
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(5, 6)).astype(np.float32)
+    labels = rng.integers(0, 3, size=5)
+    targets = rng.integers(0, 2, size=(5, 3)).astype(np.float64)
+    for head, loss in ((SIGMOID, lambda o: action_loss(o, labels)),
+                       (SIGMOID, lambda o: focal_loss(o, targets, 0.5, 4.0)),
+                       (IDENTITY, lambda o: softmax_action_loss(o, labels))):
+        model = init_model([6, 4, 3], seed=7, output_activation=head, dtype=np.float32)
+        # the same float64 Glorot draws, cast once
+        assert model.params.tobytes() == init_model(
+            [6, 4, 3], seed=7, output_activation=head).params.astype(np.float32).tobytes()
+        out, acts = forward(model, X)
+        assert acts[0] is X  # an input already in the parameters' dtype is not copied
+        assert [a.dtype for a in acts] == [np.float32] * 3
+        value, grad_out = loss(out)
+        assert isinstance(value, float) and grad_out.dtype == np.float32
+        grads = backward(model, acts, grad_out, np.empty_like(model.params))
+        assert grads.dtype == np.float32
+        with pytest.raises(ShapeError, match="float64"):
+            backward(model, acts, grad_out, np.empty(model.params.size))
+        state = init_adam(model)
+        adam_step(model, grads, state, lr=np.float64(1e-3))
+        assert [a.dtype for a in (model.params, state.m, state.v)] == [np.float32] * 3
+
+
+def test_float64_input_to_a_float32_model_is_cast_once():
+    model = init_model([6, 4, 3], seed=8, dtype=np.float32)
+    X = np.random.default_rng(9).normal(size=(4, 6))
+    out, acts = forward(model, X)
+    assert acts[0].dtype == np.float32
+    assert acts[0].tobytes() == X.astype(np.float32).tobytes()
+    assert out.tobytes() == forward(model, X.astype(np.float32))[0].tobytes()
 
 
 def test_forward_flags_non_finite_results():
@@ -436,28 +475,47 @@ def test_adam_updates_are_deterministic_and_stateful():
 
 
 def test_adam_step_matches_the_unblocked_update_bit_for_bit():
-    """The blocked in-place walk gives exactly the per-array expression's bits."""
-    model = init_model([400, 250, 9], seed=2)
-    n = model.params.size
-    assert n > 3 * ADAM_BLOCK and n % ADAM_BLOCK  # several blocks and a ragged tail
-    ref_p = [a.copy() for a in model.weights + model.biases]
-    ref_m = [np.zeros_like(a) for a in ref_p]
-    ref_v = [np.zeros_like(a) for a in ref_p]
+    """The blocked in-place walk gives exactly the per-array expression's bits, in either dtype."""
+    for dtype in (np.float64, np.float32):
+        model = init_model([400, 250, 9], seed=2, dtype=dtype)
+        n = model.params.size
+        assert n > 3 * ADAM_BLOCK and n % ADAM_BLOCK  # several blocks and a ragged tail
+        ref_p = [a.copy() for a in model.weights + model.biases]
+        ref_m = [np.zeros_like(a) for a in ref_p]
+        ref_v = [np.zeros_like(a) for a in ref_p]
+        state = init_adam(model)
+        rng = np.random.default_rng(3)
+        for t, lr in enumerate((1e-3, 5e-4, 2e-3, 1e-4), start=1):
+            flat = rng.normal(scale=rng.uniform(0.01, 10.0), size=n).astype(dtype)
+            gw, gb = layer_views(flat, [W.shape for W in model.weights])
+            adam_step(model, flat, state, lr)
+            corr1, corr2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+            for p, g, m, v in zip(ref_p, gw + gb, ref_m, ref_v):
+                m *= 0.9
+                m += (1.0 - 0.9) * g
+                v *= 0.999
+                v += (1.0 - 0.999) * g * g
+                p -= lr * (m / corr1) / (np.sqrt(v / corr2) + 1e-8)
+            assert b"".join(a.tobytes() for a in ref_p) == model.parameter_bytes()
+        assert state.t == 4
+        assert state.m.dtype == state.v.dtype == model.params.dtype == dtype
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_scratch_blocks_take_the_parameters_dtype(dtype, pin_adam_threads):
+    pin_adam_threads(1)
+    model = init_model([400, 250, 9], seed=2, dtype=dtype)
+    assert model.params.size > ADAM_BLOCK
+    grads = np.random.default_rng(4).normal(size=model.params.size).astype(dtype)
     state = init_adam(model)
-    rng = np.random.default_rng(3)
-    for t, lr in enumerate((1e-3, 5e-4, 2e-3, 1e-4), start=1):
-        flat = rng.normal(scale=rng.uniform(0.01, 10.0), size=n)
-        gw, gb = layer_views(flat, [W.shape for W in model.weights])
-        adam_step(model, flat, state, lr)
-        corr1, corr2 = 1.0 - 0.9**t, 1.0 - 0.999**t
-        for p, g, m, v in zip(ref_p, gw + gb, ref_m, ref_v):
-            m *= 0.9
-            m += (1.0 - 0.9) * g
-            v *= 0.999
-            v += (1.0 - 0.999) * g * g
-            p -= lr * (m / corr1) / (np.sqrt(v / corr2) + 1e-8)
-        assert b"".join(a.tobytes() for a in ref_p) == model.parameter_bytes()
-    assert state.t == 4
+    tracemalloc.start()
+    try:
+        adam_step(model, grads, state, lr=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    scratch = 2 * ADAM_BLOCK * np.dtype(dtype).itemsize  # one range, two blocks
+    assert scratch <= peak <= scratch + (64 << 10)
 
 
 def test_adam_validation():

@@ -302,6 +302,27 @@ def test_clip_features_appends_f_outputs_per_frame(tiny_synth, tiny_config, trai
     np.testing.assert_array_equal(per_frame[:, fd:], nn.forward(module.model, rows)[0])
 
 
+def test_float32_clip_features_are_the_float64_ones_cast_once(
+        tiny_synth, tiny_config, trained_contact):
+    clips, _, _ = tiny_synth
+    module, _ = trained_contact
+    raw_cfg = ActionModuleConfig(action_head="softmax_ce", binarize_contact=False, seed=1)
+    # f reads float64 frames and binarizes its float64 outputs, whatever g's dtype
+    for cfg in (FAST_ACTION, raw_cfg, ActionModuleConfig(augment_contact=False)):
+        wide = clip_features(clips, module, cfg, tiny_config)
+        narrow = clip_features(clips, module, cfg, tiny_config, np.float32)
+        assert (wide.dtype, narrow.dtype) == (np.float64, np.float32)
+        assert narrow.tobytes() == wide.astype(np.float32).tobytes()
+    # the float32 matrix is the only whole matrix built: no float64 one beside it
+    tracemalloc.start()
+    try:
+        narrow = clip_features(clips * 4, module, FAST_ACTION, tiny_config, np.float32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= narrow.nbytes + (1 << 20) < 2 * narrow.nbytes
+
+
 def test_clip_features_rejects_wrong_contact_width(tiny_synth, tiny_config):
     clips, _, _ = tiny_synth
     wide = nn.init_model([tiny_config.frame_dim, 4, tiny_config.contact_dim + 1], seed=0)
@@ -322,6 +343,10 @@ def test_train_action_staged_regime(tiny_synth, tiny_config, trained_contact):
     assert module.parameter_digest() == digest_before
     assert len(history) == FAST_ACTION.epochs
     assert action.model.input_dim == tiny_config.augmented_clip_dim
+    assert action.model.params.dtype == np.float32
+    again, history2 = train_action_module(clips, module, FAST_ACTION, tiny_config)
+    assert again.model.parameter_bytes() == action.model.parameter_bytes()
+    assert history2 == history
     pred, out = predict_action(module, action, clips[0], tiny_config)
     assert 0 <= pred < tiny_config.action_class_count
     assert out.shape == (tiny_config.action_class_count,)
@@ -362,9 +387,9 @@ def test_training_that_cannot_fit_in_memory_fails_before_allocating(
     clips, _, contacts = tiny_synth
     module, _ = trained_contact
     assert tiny_config.augmented_clip_dim == PAPER_G_DIMS[0]
-    needed = nn.TRAIN_BYTES_PER_PARAMETER * nn.parameter_count(PAPER_G_DIMS)
-    assert needed > 2 * 10**9  # ~70M parameters
-    monkeypatch.setattr(nn, "_mem_available", lambda: 2 * 10**9)
+    needed = 16 * nn.parameter_count(PAPER_G_DIMS)  # g trains in float32
+    assert needed > 10**9  # ~70M parameters
+    monkeypatch.setattr(nn, "_mem_available", lambda: 10**9)
 
     def no_features(*args):
         raise AssertionError("clip features were built before the memory check")
@@ -373,7 +398,8 @@ def test_training_that_cannot_fit_in_memory_fails_before_allocating(
     with pytest.raises(ValidationError) as exc:
         train_action_module(clips, module, ActionModuleConfig(), tiny_config)
     assert exc.value.exit_code == 2
-    for part in (str(PAPER_G_DIMS), f"needs {needed} bytes", f"only {2 * 10**9} bytes"):
+    for part in (str(PAPER_G_DIMS), f"needs {needed} bytes (16 per parameter)",
+                 f"only {10**9} bytes"):
         assert part in str(exc.value)
     monkeypatch.setattr(nn, "_mem_available", lambda: 10**6)
     with pytest.raises(ValidationError, match=r"\[197, 256, 256, 84\]"):
@@ -385,12 +411,30 @@ def test_memory_check_is_skipped_when_meminfo_is_unreadable(tmp_path, monkeypatc
     monkeypatch.setattr(nn, "_MEMINFO", str(tmp_path / "meminfo"))
     assert nn._mem_available() == 2048
     with pytest.raises(ValidationError):
-        nn.check_training_memory([40, 8, 2])
+        nn.check_training_memory([40, 8, 2], np.float64)
     (tmp_path / "garbled").write_text("MemAvailable: lots\n")
     for name in ("missing", "garbled"):
         monkeypatch.setattr(nn, "_MEMINFO", str(tmp_path / name))
         assert nn._mem_available() is None
-        nn.check_training_memory(PAPER_G_DIMS)
+        nn.check_training_memory(PAPER_G_DIMS, np.float64)
+
+
+def test_g_that_fits_only_in_float32_is_trained(tiny_synth, tiny_config, trained_contact,
+                                                tmp_path, monkeypatch):
+    clips, _, _ = tiny_synth
+    module, _ = trained_contact
+    dims = [tiny_config.augmented_clip_dim, FAST_ACTION.hidden_width, FAST_ACTION.hidden_width,
+            tiny_config.action_class_count]
+    count = nn.parameter_count(dims)
+    kb = 24 * count // 1024  # between float32's 16 B and float64's 32 B per parameter
+    (tmp_path / "meminfo").write_text(f"MemTotal:   {4 * kb} kB\nMemAvailable:   {kb} kB\n")
+    monkeypatch.setattr(nn, "_MEMINFO", str(tmp_path / "meminfo"))
+    with pytest.raises(ValidationError, match=f"needs {32 * count} bytes \\(32 per parameter\\)"):
+        nn.check_training_memory(dims, np.float64)
+    nn.check_training_memory(dims, np.float32)
+    action, _ = train_action_module(clips, module, FAST_ACTION, tiny_config)
+    assert action.model.layer_dims == dims
+    assert action.model.params.dtype == np.float32
 
 
 def test_fit_fills_one_gradient_vector(tiny_synth, tiny_config, monkeypatch):
@@ -453,21 +497,23 @@ def test_fit_peaks_at_the_training_bytes_per_parameter(pin_adam_threads):
     threads = 2
     pin_adam_threads(threads)
     assert len(nn._adam_ranges(nn.parameter_count(dims), threads)) == threads
-    tracemalloc.start()
-    try:
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(96, dims[0]))
-        labels = rng.integers(0, dims[-1], size=len(X))
-        model = nn.init_model(dims, seed=0, output_activation=nn.IDENTITY)
-        _fit(model, X, labels, nn.softmax_action_loss, config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    batch = config.batch_size * dims[0] * 8
-    # two 256 KB Adam scratch blocks per range, and one batch's activations
-    slack = (1 << 20) + (threads - 1) * 2 * nn.ADAM_BLOCK * 8
-    bound = nn.TRAIN_BYTES_PER_PARAMETER * nn.parameter_count(dims) + X.nbytes + batch + slack
-    assert peak <= bound, f"peak {peak} exceeds {bound}"
+    for dtype in (np.float64, np.float32):  # f's and g's training precision
+        tracemalloc.start()
+        try:
+            rng = np.random.default_rng(0)
+            X = rng.normal(size=(96, dims[0])).astype(dtype)
+            labels = rng.integers(0, dims[-1], size=len(X))
+            model = nn.init_model(dims, seed=0, output_activation=nn.IDENTITY, dtype=dtype)
+            _fit(model, X, labels, nn.softmax_action_loss, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = np.dtype(dtype).itemsize
+        batch = config.batch_size * dims[0] * size
+        # two Adam scratch blocks per range, and one batch's activations
+        slack = (1 << 20) + (threads - 1) * 2 * nn.ADAM_BLOCK * size
+        bound = nn.TRAIN_VECTORS * size * nn.parameter_count(dims) + X.nbytes + batch + slack
+        assert peak <= bound, f"{dtype.__name__}: peak {peak} exceeds {bound}"
 
 
 def test_fit_gives_the_same_bits_on_one_adam_thread_and_two(pin_adam_threads):
