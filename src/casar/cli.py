@@ -5,7 +5,8 @@ predict, ablation.  Every command with filesystem outputs writes a run
 manifest next to them; wall-clock data lives only in the manifest, so
 rerunning with the same inputs and seeds leaves every other output file
 byte-identical.  Failures print a one-line JSON error to stderr and exit
-2 (validation/config), 3 (I/O), or 4 (numeric failure).
+2 (validation/config), 3 (I/O or running out of memory), or 4 (numeric
+failure).
 """
 
 from __future__ import annotations
@@ -503,6 +504,9 @@ def main(argv=None) -> int:
         return exc.exit_code
     except OSError as exc:
         _print_error(type(exc).__name__, str(exc))
+        return 3
+    except MemoryError as exc:  # a resource limit, like an unwritable disk
+        _print_error("MemoryError", f"out of memory: {exc}" if str(exc) else "out of memory")
         return 3
 
 

@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the field type check.
 
 The CLI maps these onto process exit codes: validation/config problems
-exit 2, I/O problems exit 3, numeric failures exit 4.
+exit 2, I/O problems exit 3, numeric failures exit 4.  A ``MemoryError``
+also exits 3.
 """
 
 import dataclasses

@@ -9,12 +9,18 @@ Adam update are all explicit here; no autodiff framework is involved.
 One precision rule: every array takes the dtype of the model's
 parameters, float32 or float64.  Inputs are cast to it once on entry;
 activations, gradients, losses, Adam's moments and its scratch blocks
-are made in it, so nothing is silently widened.  ``pipeline`` fixes the
-dtype per network: the action network g trains in float32, the
-precision its checkpoint stores, and the contact network f in float64.
+are made in it, so nothing is silently widened.  ``pipeline`` trains
+both networks in float32, the precision their checkpoints store.
 Analytic gradients are checked against central finite differences in
 float64.  The step-decay learning rate is a formula over the module
 configs' fields, in ``pipeline.lr_at``.
+
+A fit runs inside ``training_mode``: numpy's OpenBLAS on one thread,
+through its ``ctypes`` controls, and the CPU's flush-to-zero and
+denormals-are-zero bits set, through C99 ``fegetenv``/``fesetenv``
+(``fp_mode``, x86-64 glibc only).  Where a control is missing it is a
+no-op.  Trained bytes therefore hold per BLAS build, CPU core type and
+availability of these controls.
 
 ``adam_step`` splits a long flat vector into contiguous ranges, one per
 core that BLAS leaves idle plus the caller's own (``_adam_threads``),
@@ -25,8 +31,10 @@ bits do not depend on the split.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import os
+import platform
 import threading
 from dataclasses import dataclass
 
@@ -349,34 +357,38 @@ def _mem_available() -> int | None:
     return None
 
 
-def check_memory(layer_dims, bytes_per_parameter: int, task: str) -> None:
-    """Refuse a ``task`` that needs more than ``MemAvailable`` for its parameters.
+def check_memory(layer_dims, bytes_per_parameter: int, task: str, matrix_bytes: int = 0) -> None:
+    """Refuse a ``task`` that needs more than ``MemAvailable`` for its parameters and data.
 
-    When ``bytes_per_parameter`` times the network's parameter count exceeds
-    the memory the kernel reports as available, this raises
-    ``ValidationError`` before anything is allocated.  The check is skipped
-    where ``_MEMINFO`` cannot be read.
+    When ``bytes_per_parameter`` times the network's parameter count, plus
+    ``matrix_bytes`` for its training matrix, exceeds the memory the kernel
+    reports as available, this raises ``ValidationError`` before anything
+    is allocated.  The check is skipped where ``_MEMINFO`` cannot be read.
     """
     needed = bytes_per_parameter * parameter_count(layer_dims)
     available = _mem_available()
-    if available is not None and needed > available:
+    if available is not None and needed + matrix_bytes > available:
+        matrix = f" plus {matrix_bytes} bytes for its training matrix" if matrix_bytes else ""
         raise ValidationError(
             f"{task} a network of layer dims {list(layer_dims)} needs {needed} bytes "
-            f"({bytes_per_parameter} per parameter), but only {available} bytes "
+            f"({bytes_per_parameter} per parameter){matrix}, but only {available} bytes "
             f"are available"
         )
 
 
-def check_training_memory(layer_dims, dtype) -> None:
+def check_training_memory(layer_dims, dtype, rows: int = 0) -> None:
     """Refuse to train a network whose training state in ``dtype`` cannot fit.
 
     Training peaks at ``TRAIN_VECTORS`` values of ``dtype`` per parameter
     (parameters, one gradient vector, Adam's two moments), 16 bytes in
-    float32 and 32 in float64, plus the feature matrix, one mini-batch,
-    and two ``ADAM_BLOCK`` scratch blocks (256 KB in float32, 512 KB in
-    float64) per Adam range, one range per ``_adam_threads``.
+    float32 and 32 in float64, plus the training data: ``rows`` rows of
+    the input and output widths in ``dtype`` (inputs and targets; at least
+    a class label's bytes), one mini-batch, and two ``ADAM_BLOCK`` scratch
+    blocks (256 KB in float32, 512 KB in float64) per Adam range, one range
+    per ``_adam_threads``.
     """
-    check_memory(layer_dims, TRAIN_VECTORS * np.dtype(dtype).itemsize, "training")
+    dims, size = list(layer_dims), np.dtype(dtype).itemsize
+    check_memory(dims, TRAIN_VECTORS * size, "training", rows * (dims[0] + dims[-1]) * size)
 
 
 try:  # numpy's OpenBLAS thread-count controls; without them, a count of None and a no-op
@@ -387,6 +399,59 @@ try:  # numpy's OpenBLAS thread-count controls; without them, a count of None an
     set_blas_threads.argtypes, set_blas_threads.restype = [ctypes.c_int], None
 except (AttributeError, OSError):
     blas_threads, set_blas_threads = (lambda: None), (lambda count: None)
+
+FLUSH_SUBNORMALS = 0x8040  # MXCSR's flush-to-zero (bit 15) and denormals-are-zero (bit 6)
+_FENV_BYTES, _MXCSR_AT = 32, 28  # glibc x86-64: sizeof(fenv_t), and MXCSR's offset in it
+
+try:  # the calling thread's MXCSR through C99 fegetenv/fesetenv; elsewhere None and a no-op
+    if platform.machine() not in ("x86_64", "AMD64") or \
+            not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+        raise OSError("no glibc x86-64 fenv_t here")
+    _libm = ctypes.CDLL("libm.so.6")
+    _fegetenv, _fesetenv = _libm.fegetenv, _libm.fesetenv
+    _fegetenv.argtypes = _fesetenv.argtypes = [ctypes.c_char_p]
+    _fegetenv.restype = _fesetenv.restype = ctypes.c_int
+
+    def fp_mode() -> int:
+        """The calling thread's MXCSR: SSE rounding, exception masks and flags, FTZ and DAZ."""
+        env = ctypes.create_string_buffer(_FENV_BYTES)
+        _fegetenv(env)
+        return int.from_bytes(env.raw[_MXCSR_AT:], "little")
+
+    def set_fp_mode(mode: int) -> None:
+        """Load ``mode`` into the calling thread's MXCSR; the x87 state is left as it is."""
+        env = ctypes.create_string_buffer(_FENV_BYTES)
+        _fegetenv(env)
+        env[_MXCSR_AT:] = mode.to_bytes(_FENV_BYTES - _MXCSR_AT, "little")
+        _fesetenv(env)
+except (AttributeError, OSError, ValueError):  # ValueError: no such confstr name
+    fp_mode, set_fp_mode = (lambda: None), (lambda mode: None)
+
+
+@contextlib.contextmanager
+def training_mode():
+    """One BLAS thread, and subnormals flushed to zero, inside the block.
+
+    Training's bytes then do not depend on the caller's BLAS thread count,
+    and no operation runs at the many-times-slower subnormal speed: Adam's
+    first moment decays by ``ADAM_BETA1`` a step wherever a gradient stays
+    zero, and in float32 it reaches the subnormal range after ~800 steps.
+    Under FTZ a result below the smallest normal float is 0, and under DAZ
+    such an input reads as 0.  Threads started inside the block, as
+    ``adam_step``'s are, inherit the mode.  The caller's thread count and
+    MXCSR are restored on exit, also when the block raises.  Where
+    ``fp_mode`` is unavailable the mode is left as it is.
+    """
+    threads, mode = blas_threads(), fp_mode()
+    set_blas_threads(1)
+    if mode is not None:
+        set_fp_mode(mode | FLUSH_SUBNORMALS)
+    try:
+        yield
+    finally:
+        if mode is not None:
+            set_fp_mode(mode)
+        set_blas_threads(threads)
 
 
 def _adam_threads() -> int:

@@ -4,9 +4,10 @@ Stage one derives per-frame contact targets from posed meshes and fits f
 with the focal loss.  Stage two freezes f, augments every resampled clip
 with f's per-frame predictions, and fits the classifier g on the flat
 augmented vectors.  Checkpoints are a small binary format with a JSON
-sidecar that stores parameters in single precision.  f trains in double
-precision (``F_DTYPE``); g, whose parameters dominate, trains in the
-single precision its checkpoint stores (``G_DTYPE``).
+sidecar that stores parameters in single precision, and both networks
+train in that precision (``TRAIN_DTYPE``).  f scores in double precision
+over its parameters, so f gives the same bits before and after a
+checkpoint round trip.
 """
 
 from __future__ import annotations
@@ -54,8 +55,7 @@ _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
 _MAX_LAYERS = 64
 SCORE_BLOCK_ROWS = 4096  # frames per block of clips that score_clips builds and scores
 F_BLOCK_ROWS = 32  # rows per forward of f outside training: one shape, so a row's bits are its own
-F_DTYPE = np.float64  # f's parameters, and so every array of its training and scoring
-G_DTYPE = np.float32  # g's parameters and feature matrix in training: a checkpoint's precision
+TRAIN_DTYPE = np.float32  # parameters and training matrices of f and g: a checkpoint's precision
 
 
 def _check_fit_fields(config) -> None:
@@ -202,13 +202,15 @@ def _fit(
 
     Each epoch visits the rows in a fresh permutation drawn from a
     generator seeded with ``config.seed``.  Returns one mean loss per
-    epoch, averaged over all rows.  BLAS runs on one thread, so the bytes
-    do not depend on the caller's count, restored on return.  The working
-    set is fixed, all in the parameters' dtype: parameters, one gradient
-    vector, Adam's moments, two ``ADAM_BLOCK`` scratch blocks per Adam
-    thread, and one mini-batch with its activations, dropped before the
-    next is drawn.  A ``NumericError`` is
-    re-raised naming the network and the epoch and step (from 0).
+    epoch, averaged over all rows.  The fit runs in ``nn.training_mode``:
+    BLAS on one thread, so the bytes do not depend on the caller's count,
+    and subnormals flushed to zero; the caller's settings are restored on
+    return.  The working set is fixed, all in the parameters' dtype, which
+    ``X`` should already have: parameters, one gradient vector, Adam's
+    moments, two ``ADAM_BLOCK`` scratch blocks per Adam thread, and one
+    mini-batch with its activations, dropped before the next is drawn.  A
+    ``NumericError`` is re-raised naming the network and the epoch and
+    step (from 0).
     """
     net = "contact network f" if isinstance(config, ContactModuleConfig) else "action network g"
     adam = nn.init_adam(model)
@@ -216,26 +218,23 @@ def _fit(
     rng = np.random.default_rng(config.seed)
     n = len(X)
     history: list[float] = []
-    caller = nn.blas_threads()
-    nn.set_blas_threads(1)
-    try:
-        for epoch in range(config.epochs):
-            lr = lr_at(config, epoch)
-            perm = rng.permutation(n)
-            total = 0.0
-            for step, start in enumerate(range(0, n, config.batch_size)):
-                batch = perm[start:start + config.batch_size]
-                out, acts = nn.forward(model, X[batch])
-                loss, grad = loss_fn(out, targets[batch])
-                nn.backward(model, acts, grad, grads)
-                del out, acts, grad
-                nn.adam_step(model, grads, adam, lr)
-                total += loss * len(batch)
-            history.append(total / n)
-    except NumericError as exc:
-        raise NumericError(f"{net} diverged at epoch {epoch}, step {step}: {exc}") from exc
-    finally:
-        nn.set_blas_threads(caller)
+    with nn.training_mode():
+        try:
+            for epoch in range(config.epochs):
+                lr = lr_at(config, epoch)
+                perm = rng.permutation(n)
+                total = 0.0
+                for step, start in enumerate(range(0, n, config.batch_size)):
+                    batch = perm[start:start + config.batch_size]
+                    out, acts = nn.forward(model, X[batch])
+                    loss, grad = loss_fn(out, targets[batch])
+                    nn.backward(model, acts, grad, grads)
+                    del out, acts, grad
+                    nn.adam_step(model, grads, adam, lr)
+                    total += loss * len(batch)
+                history.append(total / n)
+        except NumericError as exc:
+            raise NumericError(f"{net} diverged at epoch {epoch}, step {step}: {exc}") from exc
     return history
 
 
@@ -246,35 +245,55 @@ def train_contact_module(
 ) -> tuple[TrainedContactModule, list[float]]:
     """Fit f on per-frame samples with the focal loss; returns it frozen.
 
-    The history holds one mean focal loss per epoch, averaged over all
-    samples.  Identical samples, config, and data config give bit-identical
-    parameters.
+    The frames and their targets are written, in ``TRAIN_DTYPE``, into two
+    matrices allocated once.  The history holds one mean focal loss per
+    epoch, averaged over all samples.  Identical samples, config, and data
+    config give bit-identical parameters.
     """
     if not samples:
         raise ValidationError("cannot train the contact module on an empty sample list")
     dims = [data_config.frame_dim, config.hidden_width, config.hidden_width,
             data_config.contact_dim]
-    nn.check_training_memory(dims, F_DTYPE)
-    X = np.stack([encode_frame(s.frame, data_config) for s in samples])
-    Y = np.stack([s.target.as_target_vector() for s in samples])
-    if Y.shape[1] != data_config.contact_dim:
-        raise ShapeError(
-            f"targets have width {Y.shape[1]}, config expects {data_config.contact_dim}"
-        )
-    model = nn.init_model(dims, seed=config.seed, dtype=F_DTYPE)
+    nn.check_training_memory(dims, TRAIN_DTYPE, len(samples))
+    X = np.empty((len(samples), dims[0]), dtype=TRAIN_DTYPE)
+    Y = np.empty((len(samples), dims[-1]), dtype=TRAIN_DTYPE)
+    for i, s in enumerate(samples):
+        X[i] = encode_frame(s.frame, data_config)
+        target = s.target.as_target_vector()
+        if target.shape != Y.shape[1:]:
+            raise ShapeError(
+                f"targets have width {target.size}, config expects {data_config.contact_dim}"
+            )
+        Y[i] = target
+    model = nn.init_model(dims, seed=config.seed, dtype=TRAIN_DTYPE)
     history = _fit(model, X, Y, partial(nn.focal_loss, alpha=config.focal_alpha,
                                        gamma=config.focal_gamma), config)
     return TrainedContactModule(model=model, config=config), history
 
 
+def _in_float64(module: TrainedContactModule) -> TrainedContactModule:
+    """``module``, or a copy whose parameters are its values in float64."""
+    model = module.model
+    if model.params.dtype == np.float64:
+        return module
+    wide = nn.MlpModel(model.params.astype(np.float64), model.layer_dims, model.activations)
+    return TrainedContactModule(model=wide, config=module.config)
+
+
 def predict_contact(module: TrainedContactModule, rows: np.ndarray) -> np.ndarray:
-    """f's outputs for a ``(frames, width)`` matrix, in zero-padded blocks of ``F_BLOCK_ROWS``."""
-    out = np.empty((len(rows), module.model.layer_dims[-1]))
+    """f's outputs for a ``(frames, width)`` matrix, in zero-padded blocks of ``F_BLOCK_ROWS``.
+
+    f runs in float64 over its parameters' values, whatever their dtype, so
+    a trained f and the same f read back from its checkpoint give the same
+    bits.
+    """
+    model = _in_float64(module).model
+    out = np.empty((len(rows), model.layer_dims[-1]))
     for start in range(0, len(rows), F_BLOCK_ROWS):
         block = rows[start:start + F_BLOCK_ROWS]
         padded = np.zeros((F_BLOCK_ROWS,) + block.shape[1:])
         padded[:len(block)] = block
-        out[start:start + len(block)] = nn.forward(module.model, padded)[0][:len(block)]
+        out[start:start + len(block)] = nn.forward(model, padded)[0][:len(block)]
     return out
 
 
@@ -290,16 +309,18 @@ def clip_features(
     With ``augment_contact``, f runs on each clip's resampled frames and its
     outputs (optionally binarized, optionally masked by half) follow each
     frame's encoding; otherwise a row is the plain clip encoding.  f reads,
-    and its outputs are binarized, in f's own precision; each value is cast
-    to ``dtype`` once, as it is written into the matrix, which is the only
-    whole matrix built.  f gives a row the same bits alone or in a stack
-    (``predict_contact``), so running it clip by clip changes no bit.
+    and its outputs are binarized, in float64 (``predict_contact``); each
+    value is cast to ``dtype`` once, as it is written into the matrix, which
+    is the only whole matrix built.  f gives a row the same bits alone or in
+    a stack, so running it clip by clip changes no bit.
     """
     if config.augment_contact and contact is None:
         raise ValidationError("augment_contact requires a trained contact module")
     if config.augment_contact and contact.model.layer_dims[-1] != data_config.contact_dim:
         raise ShapeError(f"contact module emits {contact.model.layer_dims[-1]} values, "
                          f"config expects {data_config.contact_dim}")
+    if config.augment_contact:
+        contact = _in_float64(contact)  # once, not once per clip
     n_f, fd, J = data_config.frames_per_clip, data_config.frame_dim, data_config.joint_count
     width = data_config.augmented_frame_dim if config.augment_contact else fd
     X = np.empty((len(clips), n_f, width), dtype=dtype)
@@ -342,14 +363,14 @@ def train_action_module(
 
     width = data_config.augmented_clip_dim if config.augment_contact else data_config.clip_dim
     dims = [width, config.hidden_width, config.hidden_width, n_classes]
-    nn.check_training_memory(dims, G_DTYPE)
+    nn.check_training_memory(dims, TRAIN_DTYPE, len(clips))
 
     digest_before = contact.parameter_digest() if contact is not None else None
-    X = clip_features(clips, contact, config, data_config, G_DTYPE)
+    X = clip_features(clips, contact, config, data_config, TRAIN_DTYPE)
 
     head_activation = nn.SIGMOID if config.action_head == "sigmoid_ce" else nn.IDENTITY
     model = nn.init_model(dims, seed=config.seed, output_activation=head_activation,
-                          dtype=G_DTYPE)
+                          dtype=TRAIN_DTYPE)
     loss_fn = nn.action_loss if config.action_head == "sigmoid_ce" else nn.softmax_action_loss
     history = _fit(model, X, labels, loss_fn, config)
     if contact is not None and contact.parameter_digest() != digest_before:

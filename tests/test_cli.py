@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import casar.cli
+from casar import neuralcore
 from casar.cli import build_parser, main
 from casar.datamodel import DatasetConfig
 from casar.io import load_clips
-from casar.neuralcore import softmax
+from casar.neuralcore import parameter_count, softmax
 from casar.pipeline import (
     ActionModuleConfig,
     ContactModuleConfig,
@@ -454,6 +455,62 @@ def test_missing_dataset_exits_3(tmp_path, capsys):
     ])
     assert rc == 3
     assert stderr_json(capsys)["error"] == "DataIOError"
+
+
+# a child process that limits its own address space to what it uses after the
+# imports plus 256 MB, then runs the CLI; the test process keeps its limits
+_LIMITED_CLI = """
+import os, resource, sys
+import casar.cli
+pages = int(open("/proc/self/statm").read().split()[0])
+limit = pages * os.sysconf("SC_PAGE_SIZE") + (256 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(casar.cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs Linux's /proc")
+def test_running_out_of_memory_exits_3_with_one_json_line(tmp_path):
+    src = os.path.dirname(os.path.dirname(casar.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = tmp_path / "big"
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIMITED_CLI, "synth", "--out", str(out),
+         "--classes", "6", "--clips-per-class", "2000000"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 3, proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert json.loads(lines[0]) == {"error": "MemoryError", "message": "out of memory"}
+    assert not out.exists()
+
+
+def test_training_matrix_that_cannot_fit_exits_2_before_it_is_built(
+        workspace, tmp_path, monkeypatch, capsys):
+    # 200,000 frames a clip: a 56.2M-wide input, 0.9 GB of float32 training
+    # state at hidden width 1, and 225 MB of training matrix per clip
+    dc = DatasetConfig(action_class_count=4, frames_per_clip=200_000)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"dataset": {"action_class_count": 4, "frames_per_clip": 200_000},
+                               "action": {"hidden_width": 1}}))
+    clips = len(load_clips(workspace / "data" / "clips.jsonl", dc))
+    params = 16 * parameter_count([dc.augmented_clip_dim, 1, 1, 4])
+    matrix = 4 * clips * (dc.augmented_clip_dim + 4)  # inputs, and targets as wide as g's output
+    (tmp_path / "meminfo").write_text(f"MemAvailable:   {(params + matrix // 2) // 1024} kB\n")
+    monkeypatch.setattr(neuralcore, "_MEMINFO", str(tmp_path / "meminfo"))
+
+    def no_features(*args):
+        raise AssertionError("the training matrix was built before the memory check")
+
+    monkeypatch.setattr("casar.pipeline.clip_features", no_features)
+    rc = main(["train-action", "--data", str(workspace / "data"),
+               "--contact-ckpt", str(workspace / "f.ckpt"), "--config", str(cfg),
+               "--out", str(tmp_path / "g.ckpt")])
+    assert rc == 2
+    message = stderr_json(capsys)["message"]
+    assert f"needs {params} bytes (16 per parameter) plus {matrix} bytes" in message
+    assert not (tmp_path / "g.ckpt").exists()
 
 
 def test_threshold_inversion_exits_2(workspace, capsys):

@@ -1,6 +1,7 @@
 """Contact derivation, staged f/g training, feature assembly, checkpoints."""
 
 import re
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -199,6 +200,59 @@ def test_predict_contact_rejects_wrong_width(tiny_config, trained_contact):
             predict_contact(module, rows)
 
 
+def test_contact_fit_keeps_every_array_in_float32(tiny_synth, tiny_config, monkeypatch):
+    _, _, contacts = tiny_synth
+    dtypes = set()
+    forward, focal_loss, backward, adam_step = nn.forward, nn.focal_loss, nn.backward, nn.adam_step
+
+    def recording_forward(model, X):
+        out, acts = forward(model, X)
+        dtypes.update(a.dtype for a in [X, model.params, *acts])  # X: the batch as _fit gives it
+        return out, acts
+
+    def recording_loss(pred, target, alpha, gamma):
+        loss, grad = focal_loss(pred, target, alpha, gamma)
+        dtypes.update(a.dtype for a in (pred, target, grad))
+        return loss, grad
+
+    def recording_backward(model, acts, grad_outputs, grads):
+        dtypes.update(a.dtype for a in (grad_outputs, grads))
+        return backward(model, acts, grad_outputs, grads)
+
+    def recording_adam_step(model, grads, state, lr):
+        dtypes.update(a.dtype for a in (model.params, grads, state.m, state.v))
+        return adam_step(model, grads, state, lr)
+
+    for name, fn in [("forward", recording_forward), ("focal_loss", recording_loss),
+                     ("backward", recording_backward), ("adam_step", recording_adam_step)]:
+        monkeypatch.setattr(nn, name, fn)
+    module, _ = train_contact_module(contacts[:120], FAST_CONTACT, tiny_config)
+    assert dtypes == {np.dtype(np.float32)}
+    assert module.model.params.dtype == np.float32
+
+
+def test_f_scores_the_same_bits_before_and_after_a_checkpoint_round_trip(
+        tmp_path, tiny_synth, tiny_config, trained_contact):
+    clips, _, contacts = tiny_synth
+    module, _ = trained_contact
+    path = tmp_path / "f.ckpt"
+    save_checkpoint(module.model, path)
+    # the file's parameter blocks (each layer's weights, then its bias) are f's own bytes
+    model = module.model
+    blocks = b"".join(W.tobytes() + b.tobytes() for W, b in zip(model.weights, model.biases))
+    assert path.read_bytes()[-len(blocks):] == blocks
+    loaded = TrainedContactModule(load_checkpoint(path), module.config)
+    assert loaded.model.params.dtype == np.float64
+    assert loaded.model.params.astype(np.float32).tobytes() == model.params.tobytes()
+    rows = np.stack([encode_frame(s.frame, tiny_config) for s in contacts])
+    scored = predict_contact(module, rows)
+    assert scored.dtype == np.float64
+    assert scored.tobytes() == predict_contact(loaded, rows).tobytes()
+    raw_cfg = ActionModuleConfig(action_head="softmax_ce", binarize_contact=False, seed=1)
+    assert (clip_features(clips, module, raw_cfg, tiny_config).tobytes()
+            == clip_features(clips, loaded, raw_cfg, tiny_config).tobytes())
+
+
 @pytest.mark.parametrize("hidden", [16, 256])
 def test_f_gives_a_frame_the_same_bits_alone_and_in_a_stack(tiny_synth, tiny_config, hidden,
                                                              restore_blas_threads):
@@ -299,7 +353,10 @@ def test_clip_features_appends_f_outputs_per_frame(tiny_synth, tiny_config, trai
     assert aug.shape == (1, tiny_config.augmented_clip_dim)
     per_frame = aug.reshape(n_f, tiny_config.augmented_frame_dim)
     np.testing.assert_array_equal(per_frame[:, :fd], rows)
-    np.testing.assert_array_equal(per_frame[:, fd:], nn.forward(module.model, rows)[0])
+    # f scores in float64 over its float32 parameters
+    model = module.model
+    wide = nn.MlpModel(model.params.astype(np.float64), model.layer_dims, model.activations)
+    np.testing.assert_array_equal(per_frame[:, fd:], nn.forward(wide, rows)[0])
 
 
 def test_float32_clip_features_are_the_float64_ones_cast_once(
@@ -488,6 +545,92 @@ def test_fit_runs_on_one_blas_thread_and_restores_the_callers_count(
         _fit(model, X, Y, diverging_loss, FAST_CONTACT)
     assert seen == [1, 1]
     assert nn.blas_threads() == 3
+
+
+needs_fp_control = pytest.mark.skipif(
+    nn.fp_mode() is None, reason="no FP-mode control: fegetenv on x86-64 glibc only")
+STATUS_FLAGS = 0x3F  # MXCSR's sticky exception flags; any inexact operation may set one
+
+
+@needs_fp_control
+def test_fit_flushes_subnormals_in_every_adam_thread_and_restores_the_callers_mode(
+        monkeypatch, pin_adam_threads):
+    dims = [1024, 256, 256, 6]  # long enough for two Adam ranges, one on a worker thread
+    pin_adam_threads(2)
+    assert len(nn._adam_ranges(nn.parameter_count(dims), 2)) == 2
+    config = ActionModuleConfig(hidden_width=256, epochs=2, base_lr=1e-3, lr_period_epochs=1,
+                                batch_size=16, action_head="softmax_ce")
+    rng = np.random.default_rng(1)
+    X = rng.normal(size=(32, dims[0])).astype(np.float32)
+    labels = rng.integers(0, dims[-1], size=len(X))
+    seen = []
+    walk = nn._adam_walk
+
+    def recording_walk(*args):
+        seen.append((threading.current_thread() is threading.main_thread(),
+                     nn.fp_mode() & nn.FLUSH_SUBNORMALS))
+        walk(*args)
+
+    def diverging_loss(out, target):
+        if seen:
+            raise NumericError("non-finite network output")
+        return nn.softmax_action_loss(out, target)
+
+    monkeypatch.setattr(nn, "_adam_walk", recording_walk)
+    caller = nn.fp_mode()
+    try:
+        for mode in (caller & ~nn.FLUSH_SUBNORMALS, caller | nn.FLUSH_SUBNORMALS):
+            for loss_fn in (nn.softmax_action_loss, diverging_loss):
+                nn.set_fp_mode(mode)
+                seen.clear()
+                model = nn.init_model(dims, seed=0, output_activation=nn.IDENTITY,
+                                      dtype=np.float32)
+                if loss_fn is diverging_loss:
+                    with pytest.raises(NumericError, match="epoch 0, step 1"):
+                        _fit(model, X, labels, loss_fn, config)
+                else:
+                    _fit(model, X, labels, loss_fn, config)
+                assert {main for main, _ in seen} == {True, False}
+                assert {flushed for _, flushed in seen} == {nn.FLUSH_SUBNORMALS}
+                assert nn.fp_mode() & ~STATUS_FLAGS == mode & ~STATUS_FLAGS
+    finally:
+        nn.set_fp_mode(caller)
+
+
+@needs_fp_control
+def test_a_long_float32_fit_ends_with_no_subnormal_moment_and_the_same_bytes(monkeypatch):
+    dims = [6, 8, 8, 4]
+    config = ContactModuleConfig(hidden_width=8, epochs=900, base_lr=1e-3, lr_period_epochs=900,
+                                 batch_size=16)
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(16, dims[0])).astype(np.float32)
+    Y = (rng.random((16, dims[-1])) < 0.5).astype(np.float32)
+    states, calls = [], []
+    init_adam = nn.init_adam
+    monkeypatch.setattr(nn, "init_adam", lambda model: states.append(init_adam(model)) or states[-1])
+
+    def three_steps_then_zero_gradients(out, target):
+        # Adam's first moment then decays by 0.9 a step, under float32's smallest
+        # normal (~1.2e-38) after ~800 steps
+        loss, grad = nn.focal_loss(out, target, 0.5, 2.0)
+        calls.append(loss)
+        return loss, (grad if len(calls) <= 3 else np.zeros_like(grad))
+
+    runs = []
+    for control in ("set", "stubbed to a no-op"):
+        if control != "set":
+            monkeypatch.setattr(nn, "set_fp_mode", lambda mode: None)
+        calls.clear()
+        model = nn.init_model(dims, seed=0, dtype=np.float32)
+        history = _fit(model, X, Y, three_steps_then_zero_gradients, config)
+        m = states[-1].m
+        subnormal = int(((m != 0) & (np.abs(m) < np.finfo(np.float32).tiny)).sum())
+        runs.append((model.parameter_bytes(), history, subnormal))
+    (flushed_bytes, flushed_history, flushed), (plain_bytes, plain_history, plain) = runs
+    assert plain > 0, "the fit never reached a subnormal moment; it tests nothing"
+    assert flushed == 0
+    assert flushed_bytes == plain_bytes
+    assert flushed_history == plain_history
 
 
 def test_fit_peaks_at_the_training_bytes_per_parameter(pin_adam_threads):
