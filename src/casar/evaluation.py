@@ -137,8 +137,9 @@ def evaluate_pipeline(
     holds one clip's f rows and one block of clip features; ties go to
     the lowest class index as in ``predict_action``.  Contact accuracy runs
     f on the raw (un-resampled) frames in ``contact_samples``, one row per
-    frame.  Pass an empty list when no ground-truth targets exist: the
-    per-object table is then empty and the contact averages are nan.
+    frame, each encoded straight into one preallocated matrix.  Pass an
+    empty list when no ground-truth targets exist: the per-object table is
+    then empty and the contact averages are nan.
     """
     if not clips:
         raise ValidationError("cannot evaluate over zero clips")
@@ -148,7 +149,9 @@ def evaluate_pipeline(
     confusion = confusion_matrix(preds, labels, data_config.action_class_count)
 
     if contact_samples and contact is not None:
-        frames = np.stack([encode_frame(s.frame, data_config) for s in contact_samples])
+        frames = np.empty((len(contact_samples), data_config.frame_dim))
+        for i, s in enumerate(contact_samples):
+            frames[i] = encode_frame(s.frame, data_config)
         rows, avg_c, avg_d = contact_accuracy_by_object(
             predict_contact(contact, frames), [s.target for s in contact_samples],
             [s.frame.object.label_id for s in contact_samples])

@@ -22,17 +22,24 @@ denormals-are-zero bits set, through C99 ``fegetenv``/``fesetenv``
 no-op.  Trained bytes therefore hold per BLAS build, CPU core type and
 availability of these controls.
 
-``adam_step`` splits a long flat vector into contiguous ranges, one per
-core that BLAS leaves idle plus the caller's own (``_adam_threads``),
-and walks them on short-lived threads; numpy releases the interpreter
-lock inside each block's operations.  The update is elementwise, so its
-bits do not depend on the split.
+Work that is large enough is split over the caller's thread and one
+short-lived thread per core that BLAS leaves idle (``_split_threads``,
+through ``_run_split``); numpy releases the interpreter lock inside
+each operation.  ``adam_step`` splits its flat vectors into contiguous
+ranges; ``forward`` splits a large ``acts @ W.T`` over column ranges of
+its output, and ``backward`` a large ``delta.T @ acts`` over row ranges
+of the weight gradient.  Each output element is computed by the same
+operations in the same order whatever the split, so the bits do not
+depend on it.  In training, BLAS runs on one thread and a two-core
+machine splits over both cores; at BLAS's default count of one thread
+per core nothing is split.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import math
 import os
 import platform
 import threading
@@ -178,6 +185,8 @@ def _derivative(act: str, a: np.ndarray) -> np.ndarray:
 def forward(model: MlpModel, X) -> tuple[np.ndarray, list[np.ndarray]]:
     """Run the network on a (batch, input_dim) matrix.
 
+    A layer's product with more than ``SPLIT_MIN_MACS`` multiply-adds is
+    split over column ranges of its output (``_split_matmul``).
     Returns the outputs and ``acts = [X, a_1, ..., a_L]``, the input and
     every layer's activations, which is all ``backward`` needs: each
     activation's derivative is computed from the activation itself.
@@ -187,7 +196,7 @@ def forward(model: MlpModel, X) -> tuple[np.ndarray, list[np.ndarray]]:
         raise ShapeError(f"input shape {x.shape} is not a (batch, width {model.input_dim}) batch")
     acts = [x]
     for W, b, name in zip(model.weights, model.biases, model.activations):
-        z = acts[-1] @ W.T
+        z = _split_matmul(acts[-1], W.T, np.empty((len(x), len(W)), dtype=x.dtype), axis=1)
         z += b
         acts.append(_apply(name, z))
     if not np.isfinite(acts[-1]).all():
@@ -209,7 +218,8 @@ def backward(model: MlpModel, acts: list[np.ndarray], grad_outputs,
     of ``grads``, a vector of the parameters' dtype and layout, whose old
     values are overwritten; ``grads`` is returned.  A training
     loop passes the same vector every step, so no gradient memory is
-    allocated.
+    allocated.  A weight gradient with more than ``SPLIT_MIN_MACS``
+    multiply-adds is split over its row ranges (``_split_matmul``).
     """
     _check_layout(model, grads)
     g = np.asarray(grad_outputs, dtype=model.params.dtype)
@@ -221,7 +231,7 @@ def backward(model: MlpModel, acts: list[np.ndarray], grad_outputs,
     delta = g
     for l in range(len(model.weights) - 1, -1, -1):
         delta = delta * _derivative(model.activations[l], acts[l + 1])
-        np.matmul(delta.T, acts[l], out=grad_w[l])
+        _split_matmul(delta.T, acts[l], grad_w[l], axis=0)
         delta.sum(axis=0, out=grad_b[l])
         if l > 0:
             delta = delta @ model.weights[l]
@@ -320,12 +330,19 @@ def softmax_action_loss(logits, labels) -> tuple[float, np.ndarray]:
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# elements per pass of an adam_step range (one range per _adam_threads, each with
-# two scratch blocks of its own): 256 KB per float64 operand, 128 KB per float32
+# elements per pass of an adam_step range (one range per _split_threads, each with
+# one scratch block of its own): 256 KB per float64 operand, 128 KB per float32
 # operand, stays in cache
 ADAM_BLOCK = 32768
 ADAM_MIN_BLOCKS = 4  # shortest range given its own thread: ~1 ms of work against ~0.1 ms to start one
-ADAM_MAX_THREADS = 2  # the split was timed on two cores only
+SPLIT_MAX_THREADS = 2  # the splits were timed on two cores only
+# multiply-adds above which a product is split.  Timed in training mode on a 2-vCPU
+# x86-64 host, (48 x d) @ (d x 256) and its weight gradient: two threads start to pay
+# at ~7M in float64 and ~10M in float32, where a thread's start and join (~0.1 ms)
+# stop outweighing the halved product.  g's first layer (48 x 8,992 x 256, 110M)
+# splits (3.4 -> 1.9 ms in float32, timed alone); f's products (at most 0.8M) and
+# g's 256 x 256 layer (3.1M) stay on the caller
+SPLIT_MIN_MACS = 1 << 23
 
 
 @dataclass
@@ -383,9 +400,9 @@ def check_training_memory(layer_dims, dtype, rows: int = 0) -> None:
     (parameters, one gradient vector, Adam's two moments), 16 bytes in
     float32 and 32 in float64, plus the training data: ``rows`` rows of
     the input and output widths in ``dtype`` (inputs and targets; at least
-    a class label's bytes), one mini-batch, and two ``ADAM_BLOCK`` scratch
-    blocks (256 KB in float32, 512 KB in float64) per Adam range, one range
-    per ``_adam_threads``.
+    a class label's bytes), one mini-batch, and one ``ADAM_BLOCK`` scratch
+    block (128 KB in float32, 256 KB in float64) per Adam range, one range
+    per ``_split_threads``.
     """
     dims, size = list(layer_dims), np.dtype(dtype).itemsize
     check_memory(dims, TRAIN_VECTORS * size, "training", rows * (dims[0] + dims[-1]) * size)
@@ -438,7 +455,7 @@ def training_mode():
     zero, and in float32 it reaches the subnormal range after ~800 steps.
     Under FTZ a result below the smallest normal float is 0, and under DAZ
     such an input reads as 0.  Threads started inside the block, as
-    ``adam_step``'s are, inherit the mode.  The caller's thread count and
+    ``_run_split``'s are, inherit the mode.  The caller's thread count and
     MXCSR are restored on exit, also when the block raises.  Where
     ``fp_mode`` is unavailable the mode is left as it is.
     """
@@ -454,21 +471,75 @@ def training_mode():
         set_blas_threads(threads)
 
 
-def _adam_threads() -> int:
-    """How many threads, the caller's included, one ``adam_step`` may use.
+def _split_threads() -> int:
+    """How many threads, the caller's included, one split may use.
 
     The caller's own, plus each core of the process's affinity mask (else
     the machine's core count) that BLAS's live thread count leaves idle,
-    at most ``ADAM_MAX_THREADS``; one where BLAS cannot report its count.
+    at most ``SPLIT_MAX_THREADS``; one where BLAS cannot report its count.
     OpenBLAS's helper threads spin on their cores for about 0.1 s after
-    each matrix product, so an Adam thread there would only wait for them.
+    each matrix product, so a thread there would only wait for them.
     """
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # the affinity call exists only on some platforms
         cores = os.cpu_count() or 1
     blas = min(blas_threads() or cores, cores)
-    return max(1, min(ADAM_MAX_THREADS, cores - blas + 1))
+    return max(1, min(SPLIT_MAX_THREADS, cores - blas + 1))
+
+
+def _run_split(work, ranges: list[tuple[int, int]]) -> None:
+    """Call ``work(start, stop)`` once per range, the ranges side by side.
+
+    The calling thread takes the first range and a short-lived thread
+    each other one, or the caller itself where no thread can be started.
+    All are joined before this returns, and an exception in any is raised
+    here.
+    """
+    first, *rest = ranges
+    errors: list[BaseException] = []
+
+    def run(start: int, stop: int) -> None:
+        try:
+            work(start, stop)
+        except BaseException as exc:  # a thread drops what it raises; the caller re-raises it
+            errors.append(exc)
+
+    workers: list[threading.Thread] = []
+    for start, stop in rest:
+        worker = threading.Thread(target=run, args=(start, stop))
+        try:
+            worker.start()
+        except RuntimeError:  # no thread to be had: the range is run here
+            run(start, stop)
+        else:
+            workers.append(worker)
+    run(*first)
+    for worker in workers:
+        worker.join()
+    if errors:
+        raise errors[0]
+
+
+def _split_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
+    """``np.matmul(a, b, out=out)``, split over ranges of ``out``'s rows (axis 0) or columns (1).
+
+    One range per ``_split_threads`` when the product takes more than
+    ``SPLIT_MIN_MACS`` multiply-adds, else one product on the caller.
+    Every element of ``out`` is the same dot product either way, so the
+    bits do not depend on the split.  Returns ``out``.
+    """
+    n = out.shape[axis]
+    k = min(n, _split_threads()) if out.size * a.shape[1] > SPLIT_MIN_MACS else 1
+    if k == 1:
+        return np.matmul(a, b, out=out)
+    edges = [i * n // k for i in range(k + 1)]
+    if axis == 0:
+        work = lambda lo, hi: np.matmul(a[lo:hi], b, out=out[lo:hi])
+    else:
+        work = lambda lo, hi: np.matmul(a, b[:, lo:hi], out=out[:, lo:hi])
+    _run_split(work, list(zip(edges, edges[1:])))
+    return out
 
 
 def _adam_ranges(n: int, threads: int) -> list[tuple[int, int]]:
@@ -484,19 +555,18 @@ def _adam_ranges(n: int, threads: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _adam_walk(p_all, g_all, m_all, v_all, lr, corr1, corr2, start, stop) -> None:
-    """The Adam update of elements [start, stop), in place, through two scratch blocks.
+def _adam_walk(p_all, g_all, m_all, v_all, step, eps, start, stop) -> None:
+    """The Adam update of elements [start, stop), in place, through one scratch block.
 
-    The scratch blocks take the parameters' dtype, and every scalar is a
+    The scratch block takes the parameters' dtype, and every scalar is a
     Python float, so each operation runs in that dtype.
     """
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     x_all = np.empty(min(stop - start, ADAM_BLOCK), dtype=p_all.dtype)
-    y_all = np.empty_like(x_all)
     for lo in range(start, stop, ADAM_BLOCK):
         hi = min(lo + ADAM_BLOCK, stop)
         p, g, m, v = p_all[lo:hi], g_all[lo:hi], m_all[lo:hi], v_all[lo:hi]
-        x, y = x_all[:hi - lo], y_all[:hi - lo]
+        x = x_all[:hi - lo]
         m *= b1
         np.multiply(g, 1.0 - b1, out=x)
         m += x
@@ -504,61 +574,39 @@ def _adam_walk(p_all, g_all, m_all, v_all, lr, corr1, corr2, start, stop) -> Non
         np.multiply(g, 1.0 - b2, out=x)
         x *= g
         v += x
-        np.divide(v, corr2, out=x)
-        np.sqrt(x, out=x)
-        x += ADAM_EPS
-        np.divide(m, corr1, out=y)
-        y *= lr
-        y /= x
-        p -= y
+        np.sqrt(v, out=x)
+        x += eps
+        np.divide(m, x, out=x)
+        x *= step
+        p -= x
 
 
 def adam_step(model: MlpModel, grads: np.ndarray, state: AdamState,
               lr: float) -> tuple[MlpModel, AdamState]:
     """One bias-corrected Adam update, applied in place.
 
-    Per element, in this order of operations:
+    Per element, in this order of operations, with the bias corrections
+    ``corr1 = 1 - b1**t`` and ``corr2 = 1 - b2**t`` folded into two
+    scalars as at the end of section 2 of Kingma & Ba (arXiv:1412.6980):
         m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
-        p -= (lr*(m/corr1)) / (sqrt(v/corr2) + eps)
-    The flat vectors are split into ``_adam_ranges``, one per
-    ``_adam_threads``: with BLAS on one thread, as in training, a two-core
-    machine gets two ranges, and with BLAS on both cores, or under
-    ``taskset -c 0``, there is one.  The calling thread walks the first
-    range and a short-lived thread each other one, or the caller itself
-    where no thread can be started; all are joined before this returns,
-    and an exception in any is raised here.  Each range is walked
-    ``ADAM_BLOCK`` elements at a time through its own two scratch blocks,
-    so every operand stays in cache between the operations and no
-    whole-vector temporary is made.  The update is elementwise, so the
-    bits do not depend on the split.
+        p -= (m / (sqrt(v) + eps*sqrt(corr2))) * (lr*sqrt(corr2)/corr1)
+    which is ``p -= lr*(m/corr1) / (sqrt(v/corr2) + eps)`` in exact
+    arithmetic.  The flat vectors are split into ``_adam_ranges``, one per
+    ``_split_threads``, and run through ``_run_split``: with BLAS on one
+    thread, as in training, a two-core machine gets two ranges, and with
+    BLAS on both cores, or under ``taskset -c 0``, there is one.  Each
+    range is walked ``ADAM_BLOCK`` elements at a time through its own
+    scratch block, so every operand stays in cache between the operations
+    and no whole-vector temporary is made.  The update is elementwise, so
+    the bits do not depend on the split.
     """
     if not lr > 0:
         raise ValidationError(f"learning rate must be positive, got {lr}")
     _check_layout(model, grads)
     state.t += 1
-    args = (model.params, grads, state.m, state.v, float(lr),
-            1.0 - ADAM_BETA1**state.t, 1.0 - ADAM_BETA2**state.t)
-    first, *rest = _adam_ranges(model.params.size, _adam_threads())
-    errors: list[BaseException] = []
-
-    def walk(start: int, stop: int) -> None:
-        try:
-            _adam_walk(*args, start, stop)
-        except BaseException as exc:  # a thread drops what it raises; the caller re-raises it
-            errors.append(exc)
-
-    workers: list[threading.Thread] = []
-    for start, stop in rest:
-        worker = threading.Thread(target=walk, args=(start, stop))
-        try:
-            worker.start()
-        except RuntimeError:  # no thread to be had: the range is walked here
-            walk(start, stop)
-        else:
-            workers.append(worker)
-    walk(*first)
-    for worker in workers:
-        worker.join()
-    if errors:
-        raise errors[0]
+    root2 = math.sqrt(1.0 - ADAM_BETA2**state.t)
+    step, eps = float(lr) * root2 / (1.0 - ADAM_BETA1**state.t), ADAM_EPS * root2
+    _run_split(lambda start, stop: _adam_walk(model.params, grads, state.m, state.v,
+                                              step, eps, start, stop),
+               _adam_ranges(model.params.size, _split_threads()))
     return model, state

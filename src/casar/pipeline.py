@@ -207,7 +207,7 @@ def _fit(
     and subnormals flushed to zero; the caller's settings are restored on
     return.  The working set is fixed, all in the parameters' dtype, which
     ``X`` should already have: parameters, one gradient vector, Adam's
-    moments, two ``ADAM_BLOCK`` scratch blocks per Adam thread, and one
+    moments, one ``ADAM_BLOCK`` scratch block per Adam thread, and one
     mini-batch with its activations, dropped before the next is drawn.  A
     ``NumericError`` is re-raised naming the network and the epoch and
     step (from 0).

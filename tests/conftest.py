@@ -37,14 +37,15 @@ def rng():
 
 
 @pytest.fixture()
-def pin_adam_threads(monkeypatch):
-    """``pin_adam_threads(k)`` makes ``neuralcore._adam_threads`` return k, whatever the host.
+def pin_split_threads(monkeypatch):
+    """``pin_split_threads(k)`` makes ``neuralcore._split_threads`` return k, whatever the host.
 
-    ``adam_step`` then splits a long vector into at most k ranges, so a
-    test starts at most k - 1 threads.
+    ``adam_step`` then splits a long vector, and ``forward`` and
+    ``backward`` a large product, into at most k ranges, so a test starts
+    at most k - 1 threads at a time.
     """
     def pin(k: int) -> None:
-        monkeypatch.setattr(neuralcore, "_adam_threads", lambda: k)
+        monkeypatch.setattr(neuralcore, "_split_threads", lambda: k)
     return pin
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from casar import datamodel
+from casar import datamodel, evaluation
 from casar import neuralcore as nn
 from casar.errors import DataIOError, ShapeError, ValidationError
 from casar.evaluation import (
@@ -207,6 +208,35 @@ def test_evaluate_pipeline_without_contact_targets(tiny_synth, tiny_config, stag
     assert report.frame_count == 0
     with pytest.raises(ValidationError):
         evaluate_pipeline(f, g, [], [], tiny_config)
+
+
+def test_evaluate_pipeline_encodes_frames_into_one_matrix(
+        tiny_synth, tiny_config, staged, monkeypatch):
+    clips, _, contacts = tiny_synth
+    f, g = staged
+    encode, predict = evaluation.encode_frame, evaluation.predict_contact
+    seen = {}
+
+    def first_call_resets_the_peak(frame, config):
+        if "base" not in seen:
+            seen["base"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+        return encode(frame, config)
+
+    def peak_on_entry(module, rows):
+        seen["peak"], seen["matrix"] = tracemalloc.get_traced_memory()[1], rows.nbytes
+        return predict(module, rows)
+
+    monkeypatch.setattr(evaluation, "encode_frame", first_call_resets_the_peak)
+    monkeypatch.setattr(evaluation, "predict_contact", peak_on_entry)
+    tracemalloc.start()
+    try:
+        evaluate_pipeline(f, g, clips, contacts, tiny_config)
+    finally:
+        tracemalloc.stop()
+    assert seen["matrix"] == len(contacts) * tiny_config.frame_dim * 8
+    # the matrix and one frame's encoding, not a list of rows and then their stack
+    assert seen["peak"] - seen["base"] < 1.5 * seen["matrix"]
 
 
 def _count_calls(monkeypatch, fn) -> list:

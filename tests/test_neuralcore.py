@@ -14,15 +14,16 @@ import numpy as np
 import pytest
 
 from casar import neuralcore
+from casar.datamodel import DatasetConfig
 from casar.errors import NumericError, ShapeError, ValidationError
 from casar.neuralcore import (
     ADAM_BLOCK,
-    ADAM_MAX_THREADS,
     ADAM_MIN_BLOCKS,
     IDENTITY,
     PRED_CLAMP,
     RELU,
     SIGMOID,
+    SPLIT_MAX_THREADS,
     AdamState,
     MlpModel,
     _sigmoid,
@@ -489,21 +490,23 @@ def test_adam_step_matches_the_unblocked_update_bit_for_bit():
             flat = rng.normal(scale=rng.uniform(0.01, 10.0), size=n).astype(dtype)
             gw, gb = layer_views(flat, [W.shape for W in model.weights])
             adam_step(model, flat, state, lr)
-            corr1, corr2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+            # the bias corrections folded into two scalars (Kingma & Ba, end of section 2)
+            root2 = math.sqrt(1.0 - 0.999**t)
+            step, eps = lr * root2 / (1.0 - 0.9**t), 1e-8 * root2
             for p, g, m, v in zip(ref_p, gw + gb, ref_m, ref_v):
                 m *= 0.9
                 m += (1.0 - 0.9) * g
                 v *= 0.999
                 v += (1.0 - 0.999) * g * g
-                p -= lr * (m / corr1) / (np.sqrt(v / corr2) + 1e-8)
+                p -= m / (np.sqrt(v) + eps) * step
             assert b"".join(a.tobytes() for a in ref_p) == model.parameter_bytes()
         assert state.t == 4
         assert state.m.dtype == state.v.dtype == model.params.dtype == dtype
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_adam_scratch_blocks_take_the_parameters_dtype(dtype, pin_adam_threads):
-    pin_adam_threads(1)
+def test_adam_scratch_blocks_take_the_parameters_dtype(dtype, pin_split_threads):
+    pin_split_threads(1)
     model = init_model([400, 250, 9], seed=2, dtype=dtype)
     assert model.params.size > ADAM_BLOCK
     grads = np.random.default_rng(4).normal(size=model.params.size).astype(dtype)
@@ -514,7 +517,7 @@ def test_adam_scratch_blocks_take_the_parameters_dtype(dtype, pin_adam_threads):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    scratch = 2 * ADAM_BLOCK * np.dtype(dtype).itemsize  # one range, two blocks
+    scratch = ADAM_BLOCK * np.dtype(dtype).itemsize  # one range, one block
     assert scratch <= peak <= scratch + (64 << 10)
 
 
@@ -528,9 +531,9 @@ def test_adam_validation():
         adam_step(model, np.zeros(0), init_adam(model), lr=0.1)
 
 
-def _adam_run(threads: int, pin_adam_threads) -> bytes:
+def _adam_run(threads: int, pin_split_threads) -> bytes:
     """Params, m and v bytes after three Adam steps on ``threads`` threads."""
-    pin_adam_threads(threads)
+    pin_split_threads(threads)
     model = init_model([2100, 250, 9], seed=4)
     n = model.params.size
     # just above the floor for four ranges, with a ragged tail
@@ -544,11 +547,11 @@ def _adam_run(threads: int, pin_adam_threads) -> bytes:
     return model.parameter_bytes() + state.m.tobytes() + state.v.tobytes()
 
 
-def test_adam_step_bits_do_not_depend_on_the_thread_count(pin_adam_threads):
+def test_adam_step_bits_do_not_depend_on_the_thread_count(pin_split_threads):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # threads interleave as often as they can
     try:
-        runs = [_adam_run(threads, pin_adam_threads) for threads in (1, 2, 3, 4)]
+        runs = [_adam_run(threads, pin_split_threads) for threads in (1, 2, 3, 4)]
     finally:
         sys.setswitchinterval(interval)
     assert runs[1:] == runs[:1] * 3
@@ -571,7 +574,7 @@ def test_adam_ranges_cover_the_vector_in_whole_blocks(n, ranges):
     (2, 1, 2),  # one BLAS thread, as in training
     (2, 8, 1),
     (1, 1, 1),  # taskset -c 0
-    (8, 1, ADAM_MAX_THREADS),
+    (8, 1, SPLIT_MAX_THREADS),
     (8, 7, 2),
     (8, 8, 1),
     (2, None, 1)])  # a BLAS without thread controls: one range
@@ -579,7 +582,7 @@ def test_adam_threads_use_the_cores_blas_leaves_idle(monkeypatch, cores, blas, t
     # process-wide for the test: neuralcore reads the mask through the os module
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
     monkeypatch.setattr(neuralcore, "blas_threads", lambda: blas)
-    assert neuralcore._adam_threads() == threads
+    assert neuralcore._split_threads() == threads
 
 
 def test_numpys_blas_thread_controls_are_found(restore_blas_threads):
@@ -592,8 +595,8 @@ def test_numpys_blas_thread_controls_are_found(restore_blas_threads):
         assert neuralcore.blas_threads() == count
 
 
-def test_adam_step_raises_what_a_worker_raises(pin_adam_threads, monkeypatch):
-    pin_adam_threads(2)
+def test_adam_step_raises_what_a_worker_raises(pin_split_threads, monkeypatch):
+    pin_split_threads(2)
     walk = neuralcore._adam_walk
     failure = ArithmeticError("worker failed")
 
@@ -611,14 +614,86 @@ def test_adam_step_raises_what_a_worker_raises(pin_adam_threads, monkeypatch):
     assert threading.active_count() == threads
 
 
-def test_adam_step_walks_a_range_itself_when_no_thread_starts(pin_adam_threads, monkeypatch):
-    whole = _adam_run(1, pin_adam_threads)
+def test_adam_step_walks_a_range_itself_when_no_thread_starts(pin_split_threads, monkeypatch):
+    whole = _adam_run(1, pin_split_threads)
 
     def no_thread(self):
         raise RuntimeError("can't start new thread")
 
     monkeypatch.setattr(threading.Thread, "start", no_thread)
-    assert _adam_run(2, pin_adam_threads) == whole
+    assert _adam_run(2, pin_split_threads) == whole
+
+
+# g and f at the C4 widths: only g's first layer is large enough to split
+G_DIMS = [DatasetConfig().augmented_clip_dim, 256, 256, DatasetConfig().action_class_count]
+F_DIMS = [DatasetConfig().frame_dim, 64, 64, DatasetConfig().contact_dim]
+
+
+def _products(dims, rows: int, dtype, threads: int, pin_split_threads) -> bytes:
+    """Forward outputs and backward gradients of one pass on ``threads`` threads."""
+    pin_split_threads(threads)
+    model = init_model(dims, seed=6, dtype=dtype)
+    X = np.random.default_rng(7).normal(size=(rows, dims[0]))
+    with neuralcore.training_mode():
+        out, acts = forward(model, X)
+        grads = backward(model, acts, out - 0.5, np.empty_like(model.params))
+    return b"".join(a.tobytes() for a in acts) + grads.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dims, rows", [(G_DIMS, 48), (G_DIMS, 1), (F_DIMS, 32)],
+                         ids=["g-training-batch", "g-one-row", "f-scoring-block"])
+def test_products_give_the_same_bits_on_one_two_and_three_threads(
+        dims, rows, dtype, pin_split_threads):
+    runs = [_products(dims, rows, dtype, threads, pin_split_threads) for threads in (1, 2, 3)]
+    assert runs[1:] == runs[:1] * 2
+
+
+def test_only_gs_first_layer_products_start_threads(pin_split_threads, monkeypatch):
+    starts, start = [0], threading.Thread.start
+
+    def counting_start(self):
+        starts[0] += 1
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    _products(F_DIMS, 64, np.float32, 2, pin_split_threads)  # f's training batch
+    _products(F_DIMS, 32, np.float32, 2, pin_split_threads)
+    assert starts == [0]
+    _products(G_DIMS, 48, np.float32, 2, pin_split_threads)
+    assert starts == [2]  # one forward product and one weight gradient, of its first layer
+
+
+def test_a_products_worker_exception_reaches_the_caller(pin_split_threads, monkeypatch):
+    pin_split_threads(2)
+    matmul, failure = np.matmul, ArithmeticError("worker failed")
+
+    def failing_matmul(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise failure
+        return matmul(*args, **kwargs)
+
+    model = init_model(G_DIMS, seed=6, dtype=np.float32)
+    X = np.ones((48, G_DIMS[0]))
+    out, acts = forward(model, X)
+    threads = threading.active_count()
+    monkeypatch.setattr(np, "matmul", failing_matmul)
+    for run in (lambda: forward(model, X),
+                lambda: backward(model, acts, out, np.empty_like(model.params))):
+        with pytest.raises(ArithmeticError) as info:
+            run()
+        assert info.value is failure
+        assert threading.active_count() == threads
+
+
+def test_products_run_a_range_themselves_when_no_thread_starts(pin_split_threads, monkeypatch):
+    whole = _products(G_DIMS, 48, np.float32, 1, pin_split_threads)
+
+    def no_thread(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    assert _products(G_DIMS, 48, np.float32, 2, pin_split_threads) == whole
 
 
 # ---------------------------------------------------------------------------
